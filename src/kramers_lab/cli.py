@@ -218,7 +218,7 @@ class _Context:
     landscapes: dict = field(default_factory=dict)   # c -> Landscape
     analysis: dict = field(default_factory=dict)     # c -> (crit, wm, data)
     operators: dict = field(default_factory=dict)    # (h, c) -> OperatorMatrix
-    lambda2: dict = field(default_factory=dict)      # (h, c) -> float
+    spectra: dict = field(default_factory=dict)      # (h, c) -> SpectrumResult
 
     def landscape(self, c: float) -> Landscape:
         if c not in self.landscapes:
@@ -255,6 +255,14 @@ class _Context:
             self.operators[key] = assemble(self.landscape(c), h, grid,
                                            "L-weighted", criticals=crit)
         return self.operators[key]
+
+    def spectrum(self, h: float, c: float):
+        key = (h, c)
+        if key not in self.spectra:
+            _, wm, _ = self.analyzed(c)
+            self.spectra[key] = small_spectrum(
+                self.operator(h, c), count=max(6, len(wm.wells) + 2))
+        return self.spectra[key]
 
 
 def _stage_analyze(ctx: _Context) -> list[str]:
@@ -308,7 +316,7 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
         _, wm, data = ctx.analyzed(c)
         n0 = len(wm.wells)
         for h in cfg.h:
-            res = small_spectrum(ctx.operator(h, c), count=max(6, n0 + 2))
+            res = ctx.spectrum(h, c)
             if res.n0_observed != n0:
                 raise StageFailure(
                     f"spectrum: cluster size {res.n0_observed} != number of "
@@ -399,12 +407,7 @@ def _stage_sde(ctx: _Context) -> list[str]:
         start = min((w for w in wm.wells if not w.is_global),
                     key=lambda w: w.round_index)
         for h in cfg.h:
-            key = (h, c)
-            if key not in ctx.lambda2:
-                res = small_spectrum(ctx.operator(h, c),
-                                     count=max(6, len(wm.wells) + 2))
-                ctx.lambda2[key] = float(res.eigenvalues[1].real)
-            lam2 = ctx.lambda2[key]
+            lam2 = float(ctx.spectrum(h, c).eigenvalues[1].real)
             sim = make_config(land, wm, h, start_well=start,
                               radius=cfg.sde_radius, trials=cfg.sde_trials,
                               seed=cfg.seed)

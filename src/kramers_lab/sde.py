@@ -49,10 +49,14 @@ def _drift_table(land: Landscape, h: float, n: int = _TABLE_N):
     return axis, U.reshape(n, n, 2)
 
 
+def _table_max(table: np.ndarray) -> float:
+    return float(np.sqrt((table**2).sum(axis=2)).max())
+
+
 def drift_bound(land: Landscape, h: float) -> float:
     """max |U_h| over the box, for the time-step guard."""
     _, table = _drift_table(land, h)
-    return float(np.sqrt((table**2).sum(axis=2)).max())
+    return _table_max(table)
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,8 @@ def halved_dt(cfg: SimulationConfig) -> SimulationConfig:
     return replace(cfg, dt=dt, noise_quantum=min(q, dt))
 
 
-def _dt_guard(land: Landscape, h: float) -> float:
-    return min(h, 1.0) / (10.0 * drift_bound(land, h))
+def _dt_guard(h: float, bound: float) -> float:
+    return min(h, 1.0) / (10.0 * bound)
 
 
 def make_config(
@@ -160,7 +164,7 @@ def make_config(
             f"sigma = {start_well.sigma:.4f}; shrink the radius"
         )
 
-    guard = _dt_guard(land, h)
+    guard = _dt_guard(h, drift_bound(land, h))
     if dt is None:
         dt = guard
     elif dt > guard:
@@ -186,9 +190,9 @@ class HittingStats:
 def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
     """First hitting times of the target ball over all trials."""
     land, h, dt = cfg.land, cfg.h, cfg.dt
-    if dt > _dt_guard(land, h) * (1.0 + 1e-12):
-        raise SdeError("dt exceeds the drift guard for this landscape")
     axis, table = _drift_table(land, h)
+    if dt > _dt_guard(h, _table_max(table)) * (1.0 + 1e-12):
+        raise SdeError("dt exceeds the drift guard for this landscape")
     n = len(axis)
     a0 = axis[0]
     inv = (n - 1) / (axis[-1] - axis[0])
@@ -242,7 +246,9 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
             Xa += noise[:, k] - (ua + tx * (ub - ua))
             out = np.abs(Xa) > L
             if out.any():
-                escapes += int(out.sum())
+                # rows that already hit keep stepping to the chunk's end;
+                # only reflections of paths still in flight count
+                escapes += int((out & alive[:, None]).sum())
                 Xa = np.where(out, np.copysign(2.0 * L, Xa) - Xa, Xa)
             d2 = (Xa[:, 0] - cx) ** 2 + (Xa[:, 1] - cy) ** 2
             hit = alive & (d2 <= r2)

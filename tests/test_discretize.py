@@ -186,6 +186,67 @@ def test_grid_convergence_of_lambda2():
     assert abs(lam[1] / lam[0] - 1.0) < 0.02
 
 
+@pytest.mark.parametrize("which", ["P-flat", "L-weighted"])
+def test_eigenpairs_have_round_off_flat_residuals(which):
+    import scipy.sparse.linalg as spla
+
+    from kramers_lab.discretize import _conjugate_to_flat
+
+    h = 0.2
+    op = assemble(make_preset("tilted_double_well", c=1.0), h,
+                  Grid(2.0, 96), which)
+    s = small_spectrum(op, 6, vectors=True)
+    if which == "P-flat":
+        P, lam, X = op.matrix, s.eigenvalues, s.vectors
+    else:
+        # back to the flat form: x = v e^{-V/2h}, rescaled in the log domain
+        P, lam = _conjugate_to_flat(op), h * s.eigenvalues
+        mag = np.abs(s.vectors)
+        t = np.log(mag + 1e-300) - op.V_nodes[:, None] / (2.0 * h)
+        X = s.vectors / (mag + 1e-300) * np.exp(t - t.max(axis=0))
+    res = (np.linalg.norm(P @ X - X * lam, axis=0)
+           / (spla.norm(P, 1) * np.linalg.norm(X, axis=0)))
+    assert res.max() <= 1e-13
+
+
+def test_exactly_singular_matrix_takes_the_shifted_factor():
+    import dataclasses
+
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    op = assemble(make_preset("tilted_double_well"), 0.2, Grid(2.0, 32),
+                  "P-flat")
+    # diag(0, 1, 2, ...): the zero pivot makes every LU ordering fail
+    A = sp.diags(np.arange(op.grid.size, dtype=float)).tocsc()
+    with pytest.raises(RuntimeError, match="singular"):
+        spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    s = small_spectrum(dataclasses.replace(op, matrix=A.tocsr()), 6)
+    assert np.allclose(s.eigenvalues, np.arange(6), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("count", [10, 20])
+def test_large_counts_match_a_wide_krylov_reference(count):
+    import scipy.sparse.linalg as spla
+
+    from kramers_lab.discretize import _conjugate_to_flat
+
+    h = 0.2
+    op = assemble(make_preset("tilted_double_well", c=1.0), h,
+                  Grid(2.0, 96), "L-weighted")
+    got = small_spectrum(op, count).eigenvalues
+    assert got.size == count
+    # reference: SciPy's own shift-invert factor, a 120-vector Krylov
+    # space, tighter tolerance and four extra eigenvalues
+    ref = spla.eigs(_conjugate_to_flat(op).tocsc(), k=count + 4, sigma=0.0,
+                    ncv=120, tol=1e-12, v0=np.ones(op.grid.size),
+                    return_eigenvectors=False) / h
+    for lam in got:
+        assert np.min(np.abs(ref - lam)) <= 1e-8 * max(abs(lam), 1e-3)
+    # the returned values are the count nearest the shift
+    assert np.abs(got).max() <= np.sort(np.abs(ref))[count - 1] * (1 + 1e-8)
+
+
 # ---------------------------------------------------------------------------
 # Semigroup decay
 

@@ -1,11 +1,14 @@
 """Path-simulation tests: hitting-time stats vs the spectral rate."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+import kramers_lab.expr as ex
 from kramers_lab.discretize import small_spectrum
+from kramers_lab.landscape import Landscape
 from kramers_lab.sde import (
     SdeError,
     SimulationConfig,
@@ -92,15 +95,40 @@ def test_start_inside_target_gives_zero_times(tilted_c0):
     assert np.all(st.taus == 0.0)
 
 
+# sha256 of the taus bytes of the run below, pinned before the stepping
+# kernel is reworked: any refactor must reproduce it bit for bit
+GOLDEN_TAUS_SHA256 = (
+    "6f2cebb330e11ee2d7643e1c5b90567ad8e46ef1c2fea811f29ac6db9e987ac8")
+
+
 def test_fixed_seed_is_bit_reproducible(tilted_c0):
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25, trials=120, seed=7)
     a = hitting_time_stats(cfg)
     b = hitting_time_stats(cfg)
     assert a.mean == b.mean
     assert np.array_equal(a.taus, b.taus)
+    assert hashlib.sha256(a.taus.tobytes()).hexdigest() == GOLDEN_TAUS_SHA256
 
     other = dataclasses.replace(cfg, seed=8)
     assert hitting_time_stats(other).mean != a.mean
+
+
+def test_escapes_count_only_paths_still_in_flight():
+    # a box just wider than the wells: paths reflect off the walls often,
+    # before and after they reach the target.  With chunk=1 no path takes a
+    # step past its hitting time, so both runs must agree on every count.
+    zero = ex.constant(0.0)
+    land = Landscape(dimension=2, V=ex.parse("(x^2-1)^2 + y^2", 2),
+                     b=(zero, zero), nu=(zero, zero), halfwidth=1.3)
+    cfg = SimulationConfig(land=land, h=0.5, dt=1e-2, trials=40, seed=3,
+                           start=np.array([1.0, 0.0]),
+                           target_center=np.array([-1.0, 0.0]),
+                           target_radius=0.3)
+    batched = hitting_time_stats(cfg)
+    stepwise = hitting_time_stats(cfg, chunk=1)
+    assert np.array_equal(batched.taus, stepwise.taus)
+    assert batched.escapes > 0
+    assert batched.escapes == stepwise.escapes
 
 
 def test_halved_dt_shares_the_quantum(tilted_c0):
