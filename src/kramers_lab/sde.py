@@ -15,16 +15,28 @@ instead of resampling noise.
 
 The drift is evaluated by bilinear interpolation from a dense
 precomputed table (the expression trees are far too slow to walk once
-per time step).  Paths are stepped in one vectorized batch while many
-trials are still running and finished off one by one in a scalar loop,
-which is what makes the exponential tail of the hitting-time
-distribution affordable.
+per time step), built once per config.  Paths are stepped in one
+vectorized batch while many trials are still running and finished off
+one by one in a scalar loop, which is what makes the exponential tail of
+the hitting-time distribution affordable.
+
+The trials are split into interleaved shards (trial i in shard i mod W),
+one per usable CPU and at most one per trial, each stepped in its own
+worker process with its own batch and tail; W = 1 runs in-process.  A
+shard switches to the scalar tail at ceil(24 / W) trials in flight, so
+the tail work summed over shards matches a single batch's.  Since every
+trial has its own stream and both phases share one arithmetic, the
+results are bit-identical for any W.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +50,11 @@ class SdeError(ValueError):
 
 _TABLE_N = 513
 _TAIL_SWITCH = 24
+# Shards run in forked workers: a two-worker pool starts in 50-75 ms per
+# call, against about 1 s with spawn or forkserver, whose workers import
+# the parent's __main__ (the CLI, and SciPy with it) again.  The workers
+# run NumPy only, on the arrays they are handed.
+_START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
 
 
 def _drift_table(land: Landscape, h: float, n: int = _TABLE_N):
@@ -84,6 +101,11 @@ class SimulationConfig:
         if self.target_radius <= 0.0:
             raise SdeError("target radius must be positive")
         self.substeps  # validates the quantum
+
+    @cached_property
+    def _drift(self) -> tuple[np.ndarray, np.ndarray]:
+        """(axis, U_h at the table nodes); make_config fills it in."""
+        return _drift_table(self.land, self.h)
 
     @property
     def substeps(self) -> int:
@@ -164,7 +186,8 @@ def make_config(
             f"sigma = {start_well.sigma:.4f}; shrink the radius"
         )
 
-    guard = _dt_guard(h, drift_bound(land, h))
+    drift = _drift_table(land, h)
+    guard = _dt_guard(h, _table_max(drift[1]))
     if dt is None:
         dt = guard
     elif dt > guard:
@@ -172,10 +195,12 @@ def make_config(
             f"dt = {dt:.3e} exceeds the guard min(h,1)/(10 max|U_h|) = "
             f"{guard:.3e}"
         )
-    return SimulationConfig(land=land, h=h, dt=float(dt), trials=trials,
-                            seed=seed, start=start_well.minimum.point.copy(),
-                            target_center=center.copy(),
-                            target_radius=float(radius), max_time=max_time)
+    cfg = SimulationConfig(land=land, h=h, dt=float(dt), trials=trials,
+                           seed=seed, start=start_well.minimum.point.copy(),
+                           target_center=center.copy(),
+                           target_radius=float(radius), max_time=max_time)
+    cfg.__dict__["_drift"] = drift  # fill the cache: build the table once
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -187,91 +212,215 @@ class HittingStats:
     taus: np.ndarray = field(repr=False)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Walk(NamedTuple):
+    """What a shard needs to step its trials; small enough to pickle."""
+
+    table: np.ndarray       # dt * U_h at the table nodes, (x/y, node)
+    n: int
+    a0: float
+    inv: float
+    L: float
+    centre: np.ndarray
+    r2: float
+    dt: float
+    sub: int
+    scale: float
+    max_steps: int
+    chunk: int
+    seed: int
+    start: np.ndarray
+
+
 def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
-    """First hitting times of the target ball over all trials."""
-    land, h, dt = cfg.land, cfg.h, cfg.dt
-    axis, table = _drift_table(land, h)
+    """First hitting times of the target ball over all trials.
+
+    Trial i goes to shard i mod W, where W is the number of usable CPUs
+    capped at cfg.trials.  Each shard runs in its own worker process (in
+    this process when W = 1) and switches to the scalar tail once at most
+    ceil(_TAIL_SWITCH / W) of its trials are still in flight, so the tail
+    work summed over shards stays where one shard would put it.  Every
+    trial draws from its own stream, so taus and escapes do not depend on
+    W.  A trial that has not hit by the first chunk boundary past max_time
+    is unfinished; SdeError reports how many there are over all shards.
+    """
+    h, dt = cfg.h, cfg.dt
+    axis, table = cfg._drift
     if dt > _dt_guard(h, _table_max(table)) * (1.0 + 1e-12):
         raise SdeError("dt exceeds the drift guard for this landscape")
-    n = len(axis)
-    a0 = axis[0]
-    inv = (n - 1) / (axis[-1] - axis[0])
-    flat = np.ascontiguousarray((dt * table).reshape(n * n, 2))
-    L = land.halfwidth
-    cx, cy = float(cfg.target_center[0]), float(cfg.target_center[1])
     r2 = cfg.target_radius**2
-    sub = cfg.substeps
-    scale = math.sqrt(2.0 * h * dt / sub)
-    max_steps = int(cfg.max_time / dt)
-
-    taus = np.full(cfg.trials, np.nan)
     if float(((cfg.start - cfg.target_center) ** 2).sum()) <= r2:
-        taus[:] = 0.0
         return HittingStats(mean=0.0, stderr=0.0, trials=cfg.trials,
-                            escapes=0, taus=taus)
+                            escapes=0, taus=np.zeros(cfg.trials))
 
-    gens = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.trials)]
-    active = np.arange(cfg.trials)
-    X = np.tile(cfg.start.astype(float), (cfg.trials, 1))
+    n = len(axis)
+    sub = cfg.substeps
+    flat = (dt * table).reshape(n * n, 2)
+    walk = _Walk(table=np.ascontiguousarray(flat.T), n=n, a0=float(axis[0]),
+                 inv=(n - 1) / (axis[-1] - axis[0]), L=cfg.land.halfwidth,
+                 centre=cfg.target_center.astype(float), r2=r2, dt=dt,
+                 sub=sub, scale=math.sqrt(2.0 * h * dt / sub),
+                 max_steps=int(cfg.max_time / dt), chunk=chunk,
+                 seed=cfg.seed, start=cfg.start.astype(float))
+    workers = min(_usable_cpus(), cfg.trials)
+    shards = [range(w, cfg.trials, workers) for w in range(workers)]
+    switch = -(-_TAIL_SWITCH // workers)
+    if workers == 1:
+        results = [_run_shard(walk, shards[0], switch)]
+    else:
+        # imported here: every CLI run would pay ~20 ms for the pool
+        # machinery, with or without an sde stage
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context(_START_METHOD)
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            results = list(pool.map(_run_shard, repeat(walk), shards,
+                                    repeat(switch)))
+
+    taus = np.empty(cfg.trials)
+    escapes = unfinished = 0
+    for shard, (shard_taus, shard_escapes, shard_unfinished) in zip(
+            shards, results):
+        taus[shard.start::shard.step] = shard_taus
+        escapes += shard_escapes
+        unfinished += shard_unfinished
+    if unfinished:
+        raise SdeError(
+            f"{unfinished} of {cfg.trials} trials did not hit the target "
+            f"within max_time = {cfg.max_time}"
+        )
+    mean = float(taus.mean())
+    stderr = float(taus.std(ddof=1) / math.sqrt(cfg.trials))
+    return HittingStats(mean=mean, stderr=stderr, trials=cfg.trials,
+                        escapes=escapes, taus=taus)
+
+
+def _draw(g: np.random.Generator, draws: np.ndarray, out: np.ndarray) -> None:
+    """Fill out (chunk, 2) with the next chunk of g's per-step draw sums.
+
+    Summed one draw index at a time, which is the order np.sum takes over
+    this axis, at a fraction of its cost for two or three terms.
+    """
+    g.standard_normal(out=draws)
+    np.copyto(out, draws[:, 0])
+    for s in range(1, draws.shape[1]):
+        out += draws[:, s]
+
+
+def _run_shard(walk: _Walk, trials: range,
+               switch: int) -> tuple[np.ndarray, int, int]:
+    """Step the given trials to the target: (taus, escapes, unfinished).
+
+    Unfinished trials keep tau = nan.
+    """
+    table, n, a0, inv, L = walk.table, walk.n, walk.a0, walk.inv, walk.L
+    r2, dt, chunk, max_steps = walk.r2, walk.dt, walk.chunk, walk.max_steps
+    gens = [np.random.default_rng([walk.seed, i]) for i in trials]
+    taus = np.full(len(gens), np.nan)
+    active = np.arange(len(gens))
+    X = np.tile(walk.start[:, None], (1, len(gens)))
+    draws = np.empty((chunk, walk.sub, 2))
+    # (ix, iy, 1) -> flat indices of the corners u00, u10, u01, u11
+    corners = np.array([[n, 1, 0], [n, 1, n], [n, 1, 1], [n, 1, n + 1]])
+    centre = walk.centre[:, None]
     escapes = 0
     step = 0
 
-    # Phase 1: one big batch while enough trials are still in flight.
-    while active.size > _TAIL_SWITCH:
+    # Phase 1: one batch while enough trials are still in flight.  Arrays
+    # are (x/y, row), so every ufunc runs one contiguous loop over the rows,
+    # and each step writes into buffers made once per chunk.  The
+    # arithmetic is that of the scalar tail below, so a trial's path does
+    # not depend on which phase steps it.
+    while active.size > switch:
         if step > max_steps:
-            raise SdeError(
-                f"{active.size} trials did not hit the target within "
-                f"max_time = {cfg.max_time}"
-            )
-        noise = np.empty((active.size, chunk, 2))
+            return taus, escapes, active.size
+        rows = active.size
+        noise = np.empty((rows, chunk, 2))
         for j, i in enumerate(active):
-            noise[j] = gens[i].standard_normal((chunk, sub, 2)).sum(axis=1)
-        noise *= scale
-        Xa = X[active]
-        alive = np.ones(active.size, dtype=bool)
+            _draw(gens[i], draws, noise[j])
+        noise *= walk.scale
+        noise_k = noise.transpose(1, 2, 0)
+        P = X[:, active]
+        alive = np.ones(rows, dtype=bool)
+        reach = np.full(rows, r2)   # -1 once a row has hit: no second hit
+        f = np.empty((2, rows))
+        f_all, (f0, f1) = f.reshape(-1), f
+        t = np.empty((2, rows))
+        tx, ty = t
+        idx = np.ones((3, rows), dtype=np.intp)
+        cell = idx[:2]
+        flat_idx = np.empty((4, rows), dtype=np.intp)
+        u = np.empty((2, 4, rows))
+        lo, hi = u[:, :2], u[:, 2:]
+        ab = np.empty((2, 2, rows))
+        ua, ub = ab[:, 0], ab[:, 1]
+        drift = np.empty((2, rows))
+        d2 = np.empty(rows)
+        hit = np.empty(rows, dtype=bool)
         for k in range(chunk):
             step += 1
-            f = (Xa - a0) * inv
-            idx = f.astype(np.int64)
-            np.minimum(idx, n - 2, out=idx)
-            t = f - idx
-            base = idx[:, 0] * n + idx[:, 1]
-            tx, ty = t[:, 0, None], t[:, 1, None]
-            u00 = flat[base]
-            u01 = flat[base + 1]
-            u10 = flat[base + n]
-            u11 = flat[base + n + 1]
-            ua = u00 + ty * (u01 - u00)
-            ub = u10 + ty * (u11 - u10)
-            Xa += noise[:, k] - (ua + tx * (ub - ua))
-            out = np.abs(Xa) > L
-            if out.any():
+            np.subtract(P, a0, out=f)
+            f *= inv
+            np.copyto(cell, f, casting="unsafe")   # truncates, as int() does
+            np.minimum(cell, n - 2, out=cell)
+            np.subtract(f, cell, out=t)
+            # x/y by corner by row in one gather (the indices are in range;
+            # mode="clip" only spares take a buffered copy), then the
+            # bilinear weights: ty for (ua, ub), then tx between them
+            np.matmul(corners, idx, out=flat_idx)
+            table.take(flat_idx, axis=1, out=u, mode="clip")
+            np.subtract(hi, lo, out=ab)
+            ab *= ty
+            ab += lo
+            np.subtract(ub, ua, out=drift)
+            drift *= tx
+            drift += ua
+            np.subtract(noise_k[k], drift, out=drift)
+            P += drift
+            np.abs(P, out=f)
+            # argmax finds the largest entry and the first True below for a
+            # fraction of the cost of max() and any()
+            if f_all[f_all.argmax()] > L:
+                out = f > L
                 # rows that already hit keep stepping to the chunk's end;
                 # only reflections of paths still in flight count
-                escapes += int((out & alive[:, None]).sum())
-                Xa = np.where(out, np.copysign(2.0 * L, Xa) - Xa, Xa)
-            d2 = (Xa[:, 0] - cx) ** 2 + (Xa[:, 1] - cy) ** 2
-            hit = alive & (d2 <= r2)
-            if hit.any():
+                escapes += int((out & alive).sum())
+                P = np.where(out, np.copysign(2.0 * L, P) - P, P)
+            np.subtract(P, centre, out=f)
+            f *= f
+            np.add(f0, f1, out=d2)
+            np.less_equal(d2, reach, out=hit)
+            if hit[hit.argmax()]:
                 taus[active[hit]] = step * dt
                 alive &= ~hit
+                reach[hit] = -1.0
                 if not alive.any():
                     break
-        X[active] = Xa
+        X[:, active] = P
         active = active[alive]
 
     # Phase 2: finish the exponential tail one trial at a time in plain
     # Python, where the per-step cost is flat instead of one numpy
     # dispatch sweep per surviving batch row.
-    Ux = flat[:, 0].tolist()
-    Uy = flat[:, 1].tolist()
+    Ux = table[0].tolist()
+    Uy = table[1].tolist()
+    cx, cy = float(walk.centre[0]), float(walk.centre[1])
+    sums = np.empty((chunk, 2))
+    unfinished = 0
     for i in active:
         g = gens[i]
-        x, y = float(X[i, 0]), float(X[i, 1])
+        x, y = float(X[0, i]), float(X[1, i])
         s = step
-        while True:
-            rows = (scale
-                    * g.standard_normal((chunk, sub, 2)).sum(axis=1)).tolist()
+        while s <= max_steps:
+            _draw(g, draws, sums)
+            rows = (walk.scale * sums).tolist()
             for nx, ny in rows:
                 s += 1
                 fx = (x - a0) * inv
@@ -309,15 +458,8 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
                     taus[i] = s * dt
                     break
             else:
-                if s > max_steps:
-                    raise SdeError(
-                        f"trial {i} did not hit the target within "
-                        f"max_time = {cfg.max_time}"
-                    )
                 continue
             break
-
-    mean = float(taus.mean())
-    stderr = float(taus.std(ddof=1) / math.sqrt(cfg.trials))
-    return HittingStats(mean=mean, stderr=stderr, trials=cfg.trials,
-                        escapes=escapes, taus=taus)
+        else:
+            unfinished += 1
+    return taus, escapes, unfinished

@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
 
 import kramers_lab.expr as ex
+import kramers_lab.sde as sde
 from kramers_lab.discretize import small_spectrum
 from kramers_lab.landscape import Landscape
 from kramers_lab.sde import (
@@ -113,22 +115,36 @@ def test_fixed_seed_is_bit_reproducible(tilted_c0):
     assert hitting_time_stats(other).mean != a.mean
 
 
-def test_escapes_count_only_paths_still_in_flight():
+def _reflecting_box() -> SimulationConfig:
     # a box just wider than the wells: paths reflect off the walls often,
-    # before and after they reach the target.  With chunk=1 no path takes a
-    # step past its hitting time, so both runs must agree on every count.
+    # before and after they reach the target
     zero = ex.constant(0.0)
     land = Landscape(dimension=2, V=ex.parse("(x^2-1)^2 + y^2", 2),
                      b=(zero, zero), nu=(zero, zero), halfwidth=1.3)
-    cfg = SimulationConfig(land=land, h=0.5, dt=1e-2, trials=40, seed=3,
-                           start=np.array([1.0, 0.0]),
-                           target_center=np.array([-1.0, 0.0]),
-                           target_radius=0.3)
+    return SimulationConfig(land=land, h=0.5, dt=1e-2, trials=40, seed=3,
+                            start=np.array([1.0, 0.0]),
+                            target_center=np.array([-1.0, 0.0]),
+                            target_radius=0.3)
+
+
+def test_escapes_count_only_paths_still_in_flight():
+    # With chunk=1 no path takes a step past its hitting time, so both runs
+    # must agree on every count.
+    cfg = _reflecting_box()
     batched = hitting_time_stats(cfg)
     stepwise = hitting_time_stats(cfg, chunk=1)
     assert np.array_equal(batched.taus, stepwise.taus)
     assert batched.escapes > 0
     assert batched.escapes == stepwise.escapes
+
+
+@pytest.mark.parametrize("sub", [1, 2, 3, 5, 12])
+def test_draw_sums_match_numpy_sum(sub):
+    # the reference is the sum the stepping kernel used before _draw
+    ref = np.random.default_rng([4, 2]).standard_normal((64, sub, 2))
+    out = np.empty((64, 2))
+    sde._draw(np.random.default_rng([4, 2]), np.empty((64, sub, 2)), out)
+    assert np.array_equal(out, ref.sum(axis=1))
 
 
 def test_halved_dt_shares_the_quantum(tilted_c0):
@@ -143,11 +159,32 @@ def test_halved_dt_shares_the_quantum(tilted_c0):
     assert quarter.substeps == 1
 
 
-def test_max_time_cap_raises(tilted_c0):
+@pytest.mark.parametrize("case", ["reflecting-box", "golden"])
+def test_shards_are_bit_identical(case, tilted_c0, monkeypatch):
+    if case == "golden":
+        cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25, trials=120,
+                          seed=7)
+    else:
+        cfg = _reflecting_box()
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+    whole = hitting_time_stats(cfg)
+    # three shards: uneven sizes for 40 trials, and more workers than the
+    # two CPUs of a small host
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+    sharded = hitting_time_stats(cfg)
+    assert multiprocessing.active_children() == []
+    assert np.array_equal(sharded.taus, whole.taus)
+    assert sharded.escapes == whole.escapes
+    assert sharded.mean == whole.mean
+
+
+def test_max_time_cap_raises(tilted_c0, monkeypatch):
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=4,
                       max_time=0.05)
-    with pytest.raises(SdeError, match="max_time"):
+    with pytest.raises(SdeError, match=r"^4 of 4 trials .* max_time = 0\.05"):
         hitting_time_stats(cfg)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
