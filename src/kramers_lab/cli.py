@@ -32,6 +32,7 @@ import csv
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,16 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .discretize import Grid, assemble, small_spectrum
+from .analysis import Analysis
+from .discretize import Grid
 from .graded import selftest as graded_selftest
-from .labelling import SublevelTopology, label_minima
-from .landscape import (
-    Landscape,
-    PRESETS,
-    find_critical_points,
-    make_preset,
-    validate_stationarity,
-)
+from .landscape import Landscape, PRESETS, make_preset, validate_stationarity
 from .quasimode import (
     GeometryError,
     build_cutoffs,
@@ -58,7 +53,7 @@ from .quasimode import (
     predicted_dirichlet,
     predicted_norm_sq,
 )
-from .saddle import predict_spectrum, transverse_map
+from .saddle import predict_spectrum
 from .sde import hitting_time_stats, make_config
 
 STAGES = ("analyze", "spectrum", "quasimode", "sde", "graded-selftest")
@@ -87,6 +82,30 @@ class RunConfig:
 def _require(cond, where, msg):
     if not cond:
         raise ConfigError(f"{where}: {msg}")
+
+
+def _number(value, where, kind=float):
+    """``value`` as ``kind`` if it is a finite JSON number (a whole one
+    for int), else a ConfigError naming the field."""
+    try:
+        ok = (not isinstance(value, (bool, str)) and math.isfinite(value)
+              and (kind is float or value == int(value)))
+    except (TypeError, OverflowError):
+        ok = False
+    noun = "a number" if kind is float else "an integer"
+    _require(ok, where, f"expected {noun}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(value, where):
+    _require(isinstance(value, list), where, "must be a list of numbers")
+    return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(value))
+
+
+def _section(raw, key):
+    value = raw.get(key, {})
+    _require(isinstance(value, dict), key, "must be an object")
+    return value
 
 
 def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
@@ -122,6 +141,10 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
     if any(s in wanted for s in _NEEDS_LANDSCAPE):
         _require(isinstance(land, dict), "landscape",
                  f"required by stages {', '.join(sorted(wanted & set(_NEEDS_LANDSCAPE)))}")
+        land = dict(land)
+        for key in ("a", "box"):
+            if key in land:
+                land[key] = _number(land[key], f"landscape.{key}")
         if "preset" in land:
             _require(land["preset"] in PRESETS, "landscape.preset",
                      f"unknown preset {land['preset']!r}; "
@@ -150,25 +173,31 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
     else:
         land = None
 
-    h = tuple(float(x) for x in raw.get("h", [0.1, 0.15, 0.2]))
+    h = _numbers(raw.get("h", [0.1, 0.15, 0.2]), "h")
     _require(len(h) > 0, "h", "at least one h value is required")
     for x in h:
         _require(0.0 < x <= 1.0, "h", f"h values must lie in (0, 1], got {x}")
-    c = tuple(float(x) for x in raw.get("c", [0.0]))
+    c = _numbers(raw.get("c", [0.0]), "c")
     if land is not None and "preset" not in land:
         _require(c == (0.0,), "c",
                  "a c sweep applies to preset landscapes only")
 
-    grid = raw.get("grid", {})
-    _require(isinstance(grid, dict), "grid", "must be an object")
-    grid_n = int(grid.get("n", 96))
+    grid_n = _number(_section(raw, "grid").get("n", 96), "grid.n", int)
     _require(grid_n >= 16, "grid.n", "needs at least 16 nodes per axis")
 
-    sde_opts = raw.get("sde", {})
-    qm_opts = raw.get("quasimode", {})
-    graded_opts = raw.get("graded", {})
+    sde_opts = _section(raw, "sde")
+    trials = _number(sde_opts.get("trials", 500), "sde.trials", int)
+    _require(trials >= 1, "sde.trials", "needs at least one trial")
+    radius = _number(sde_opts.get("radius", 0.3), "sde.radius")
+    _require(radius > 0, "sde.radius", "must be positive")
+    qm_opts = _section(raw, "quasimode")
+    instances = _number(_section(raw, "graded").get("instances", 200),
+                        "graded.instances", int)
+    _require(instances >= 1, "graded.instances",
+             "needs at least one instance")
     out = Path(raw.get("out", "kramers_out"))
-    seed = int(raw.get("seed", 0))
+    seed = _number(raw.get("seed", 0), "seed", int)
+    _require(seed >= 0, "seed", "must be non-negative")
 
     return RunConfig(
         landscape=land,
@@ -178,10 +207,10 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
         stages=stages,
         out=out,
         seed=seed,
-        sde_trials=int(sde_opts.get("trials", 500)),
-        sde_radius=float(sde_opts.get("radius", 0.3)),
+        sde_trials=trials,
+        sde_radius=radius,
         quasimode_export=bool(qm_opts.get("export_fields", False)),
-        graded_instances=int(graded_opts.get("instances", 200)),
+        graded_instances=instances,
     )
 
 
@@ -215,61 +244,35 @@ class _Context:
     """Work shared between stages for one pipeline run."""
 
     cfg: RunConfig
-    landscapes: dict = field(default_factory=dict)   # c -> Landscape
-    analysis: dict = field(default_factory=dict)     # c -> (crit, wm, data)
-    operators: dict = field(default_factory=dict)    # (h, c) -> OperatorMatrix
-    spectra: dict = field(default_factory=dict)      # (h, c) -> SpectrumResult
+    analyses: dict = field(default_factory=dict)   # c -> Analysis
 
-    def landscape(self, c: float) -> Landscape:
-        if c not in self.landscapes:
-            spec = self.cfg.landscape
-            if "preset" in spec:
-                kwargs = {"c": c}
-                if "a" in spec:
-                    kwargs["a"] = float(spec["a"])
-                self.landscapes[c] = make_preset(spec["preset"], **kwargs)
-            else:
-                zero = ex.constant(0.0)
-                b = tuple(ex.parse(t, 2) for t in spec["b"]) \
-                    if "b" in spec else (zero, zero)
-                nu = tuple(ex.parse(t, 2) for t in spec["nu"]) \
-                    if "nu" in spec else (zero, zero)
-                self.landscapes[c] = Landscape(
-                    dimension=2, V=ex.parse(spec["V"], 2), b=b, nu=nu,
-                    halfwidth=float(spec.get("box", 2.0)))
-        return self.landscapes[c]
+    def analysis(self, c: float) -> Analysis:
+        if c not in self.analyses:
+            self.analyses[c] = Analysis(self._landscape(c))
+        return self.analyses[c]
 
-    def analyzed(self, c: float):
-        if c not in self.analysis:
-            land = self.landscape(c)
-            crit = find_critical_points(land)
-            wm = label_minima(crit, SublevelTopology(land))
-            self.analysis[c] = (crit, wm, transverse_map(land, wm))
-        return self.analysis[c]
-
-    def operator(self, h: float, c: float):
-        key = (h, c)
-        if key not in self.operators:
-            crit, _, _ = self.analyzed(c)
-            grid = Grid(halfwidth=self.landscape(c).halfwidth, n=self.cfg.grid_n)
-            self.operators[key] = assemble(self.landscape(c), h, grid,
-                                           "L-weighted", criticals=crit)
-        return self.operators[key]
-
-    def spectrum(self, h: float, c: float):
-        key = (h, c)
-        if key not in self.spectra:
-            _, wm, _ = self.analyzed(c)
-            self.spectra[key] = small_spectrum(
-                self.operator(h, c), count=max(6, len(wm.wells) + 2))
-        return self.spectra[key]
+    def _landscape(self, c: float) -> Landscape:
+        spec = self.cfg.landscape
+        if "preset" in spec:
+            kwargs = {"c": c}
+            if "a" in spec:
+                kwargs["a"] = spec["a"]
+            return make_preset(spec["preset"], **kwargs)
+        zero = ex.constant(0.0)
+        b = tuple(ex.parse(t, 2) for t in spec["b"]) \
+            if "b" in spec else (zero, zero)
+        nu = tuple(ex.parse(t, 2) for t in spec["nu"]) \
+            if "nu" in spec else (zero, zero)
+        return Landscape(dimension=2, V=ex.parse(spec["V"], 2), b=b, nu=nu,
+                         halfwidth=spec.get("box", 2.0))
 
 
 def _stage_analyze(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
     rows = []
     for c in cfg.c:
-        land = ctx.landscape(c)
+        ana = ctx.analysis(c)
+        land = ana.land
         station = validate_stationarity(land, tolerance=1e-10, seed=cfg.seed)
         if not station.passed:
             raise StageFailure(
@@ -278,7 +281,7 @@ def _stage_analyze(ctx: _Context) -> list[str]:
                 f"max |div nu| = {station.max_div_nu:.3e}, "
                 f"max |div b - nu.grad V| = {station.max_div_b_mismatch:.3e} "
                 f"> {station.tolerance:g}")
-        _, wm, data = ctx.analyzed(c)
+        wm, data = ana.wm, ana.data
         preds = {h: predict_spectrum(land, wm, h, data) for h in cfg.h}
         for i in range(len(wm.wells)):
             base = preds[cfg.h[0]][i]
@@ -292,7 +295,7 @@ def _stage_analyze(ctx: _Context) -> list[str]:
     header.extend(f"lambda_h{_fmt(h)}" for h in cfg.h)
     _write_csv(cfg.out / "ek_table.csv", header, rows)
 
-    _, wm0, _ = ctx.analyzed(cfg.c[0])
+    wm0 = ctx.analysis(cfg.c[0]).wm
     wells_json = [{
         "round": w.round_index,
         "minimum": [float(x) for x in w.minimum.point],
@@ -312,11 +315,11 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
     rows = []
     for c in cfg.c:
-        land = ctx.landscape(c)
-        _, wm, data = ctx.analyzed(c)
+        ana = ctx.analysis(c)
+        land, wm, data = ana.land, ana.wm, ana.data
         n0 = len(wm.wells)
         for h in cfg.h:
-            res = ctx.spectrum(h, c)
+            res = ana.spectrum(h, cfg.grid_n)
             if res.n0_observed != n0:
                 raise StageFailure(
                     f"spectrum: cluster size {res.n0_observed} != number of "
@@ -357,8 +360,8 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
     rows, artifacts = [], []
     for c in cfg.c:
-        land = ctx.landscape(c)
-        _, wm, data = ctx.analyzed(c)
+        ana = ctx.analysis(c)
+        land, wm, data = ana.land, ana.wm, ana.data
         grid = Grid(halfwidth=land.halfwidth, n=cfg.grid_n)
         for well in sorted(wm.wells, key=lambda w: w.round_index):
             if well.is_global:
@@ -366,7 +369,8 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
             geom = _geometry_with_retry(well, wm, data, land, grid)
             for h in cfg.h:
                 qm = build_quasimode(well, geom, h)
-                forms = dirichlet_and_residuals(qm, ctx.operator(h, c))
+                forms = dirichlet_and_residuals(
+                    qm, ana.operator(h, cfg.grid_n))
                 norm_pred = predicted_norm_sq(well, wm, h)
                 _, dir_pred = predicted_dirichlet(well, wm, data, h)
                 norm_ratio = qm.norm**2 / norm_pred
@@ -402,13 +406,11 @@ def _stage_sde(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
     rows = []
     for c in cfg.c:
-        land = ctx.landscape(c)
-        _, wm, _ = ctx.analyzed(c)
-        start = min((w for w in wm.wells if not w.is_global),
-                    key=lambda w: w.round_index)
+        ana = ctx.analysis(c)
         for h in cfg.h:
-            lam2 = float(ctx.spectrum(h, c).eigenvalues[1].real)
-            sim = make_config(land, wm, h, start_well=start,
+            lam2 = float(ana.spectrum(h, cfg.grid_n).eigenvalues[1].real)
+            sim = make_config(ana.land, ana.wm, h,
+                              start_well=ana.shallow_well,
                               radius=cfg.sde_radius, trials=cfg.sde_trials,
                               seed=cfg.seed)
             st = hitting_time_stats(sim)
@@ -490,11 +492,12 @@ def run(cfg: RunConfig) -> int:
             stage_records.append({"stage": name, "status": "failed",
                                   "message": str(e), "artifacts": []})
             failed = True
-        except (ValueError, RuntimeError) as e:
+        except Exception as e:
             msg = f"{name}: {type(e).__name__}: {e}"
             print(f"FAILED {msg}", file=sys.stderr)
             stage_records.append({"stage": name, "status": "failed",
-                                  "message": msg, "artifacts": []})
+                                  "message": msg, "artifacts": [],
+                                  "traceback": traceback.format_exc()})
             failed = True
 
     manifest = {

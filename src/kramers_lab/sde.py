@@ -70,12 +70,6 @@ def _table_max(table: np.ndarray) -> float:
     return float(np.sqrt((table**2).sum(axis=2)).max())
 
 
-def drift_bound(land: Landscape, h: float) -> float:
-    """max |U_h| over the box, for the time-step guard."""
-    _, table = _drift_table(land, h)
-    return _table_max(table)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Euler-Maruyama run description; build via make_config for validation."""

@@ -1,67 +1,35 @@
-"""Shared fixtures: landscape bundles and a cached operator factory.
+"""Shared fixtures: one ``Analysis`` per preset for the whole session.
 
 Building the well map and assembling 192-squared operators is the dominant
-cost of the suite, so everything derived from a preset is computed once per
-session and shared between the module tests and the acceptance suite.
+cost of the suite, so each preset's ``Analysis`` (critical points, well
+map, saddle data, operators per (h, n, form)) is built once per session and
+shared between the module tests and the acceptance suite.
 """
-
-from dataclasses import dataclass, field
 
 import pytest
 
-from kramers_lab.discretize import Grid, OperatorMatrix, assemble
-from kramers_lab.labelling import SublevelTopology, WellMap, label_minima
-from kramers_lab.landscape import Landscape, find_critical_points, make_preset
-from kramers_lab.saddle import transverse_map
-
-
-@dataclass
-class PresetBundle:
-    land: Landscape
-    criticals: list
-    wm: WellMap
-    data: dict
-    _ops: dict = field(default_factory=dict)
-
-    @property
-    def shallow_well(self):
-        return next(w for w in self.wm.wells if not w.is_global)
-
-    def op(self, h: float, n: int, which: str = "L-weighted") -> OperatorMatrix:
-        key = (h, n, which)
-        if key not in self._ops:
-            grid = Grid(halfwidth=self.land.halfwidth, n=n)
-            self._ops[key] = assemble(self.land, h, grid, which,
-                                      criticals=self.criticals)
-        return self._ops[key]
-
-
-def _bundle(name, **kwargs):
-    land = make_preset(name, **kwargs)
-    criticals = find_critical_points(land)
-    wm = label_minima(criticals, SublevelTopology(land))
-    return PresetBundle(land=land, criticals=criticals, wm=wm,
-                        data=transverse_map(land, wm))
+from kramers_lab.analysis import Analysis
+from kramers_lab.landscape import make_preset
 
 
 @pytest.fixture(scope="session")
 def tilted_c0():
-    return _bundle("tilted_double_well")
+    return Analysis(make_preset("tilted_double_well"))
 
 
 @pytest.fixture(scope="session")
 def tilted_c1():
-    return _bundle("tilted_double_well", c=1.0)
+    return Analysis(make_preset("tilted_double_well", c=1.0))
 
 
 @pytest.fixture(scope="session")
 def triple():
-    return _bundle("triple_well")
+    return Analysis(make_preset("triple_well"))
 
 
 @pytest.fixture(scope="session")
 def sym_double():
-    return _bundle("sym_double_well")
+    return Analysis(make_preset("sym_double_well"))
 
 
 @pytest.fixture(scope="session")
@@ -74,8 +42,8 @@ def sde_tilted(tilted_c0, tilted_c1):
     from kramers_lab.sde import halved_dt, hitting_time_stats, make_config
 
     runs = {}
-    for tag, bundle in (("c0", tilted_c0), ("c1", tilted_c1)):
-        cfg = make_config(bundle.land, bundle.wm, 0.2, trials=2000, seed=0)
+    for tag, ana in (("c0", tilted_c0), ("c1", tilted_c1)):
+        cfg = make_config(ana.land, ana.wm, 0.2, trials=2000, seed=0)
         runs[tag] = (cfg, hitting_time_stats(cfg))
         half = halved_dt(cfg)
         runs[tag + "_half"] = (half, hitting_time_stats(half))

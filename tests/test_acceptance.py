@@ -32,20 +32,18 @@ import pytest
 from test_expr import random_tame_expr
 
 from kramers_lab import expr as ex
+from kramers_lab.analysis import Analysis
 from kramers_lab.discretize import (
     Grid,
-    assemble,
     remove_weighted_mean,
     semigroup_decay,
     small_spectrum,
 )
 from kramers_lab.expr import EvalError, differentiate, evaluate
 from kramers_lab.graded import selftest
-from kramers_lab.labelling import SublevelTopology, label_minima
 from kramers_lab.landscape import (
     CriticalPoint,
     Landscape,
-    find_critical_points,
     make_preset,
     validate_stationarity,
 )
@@ -156,7 +154,7 @@ def test_03_rate_asymptotics_tilted(tilted_c0, tilted_c1):
     devs, lam = {}, {}
     for tag, bu in (("rev", tilted_c0), ("rot", tilted_c1)):
         for h in hs:
-            lam2 = float(np.sort(small_spectrum(bu.op(h, 192), 4)
+            lam2 = float(np.sort(small_spectrum(bu.operator(h, 192), 4)
                                  .eigenvalues.real)[1])
             ek = next(p.lam for p in
                       predict_spectrum(bu.land, bu.wm, h, data=bu.data)
@@ -197,14 +195,12 @@ def test_04_small_eigenvalue_counting(sym_double, triple):
     single = Landscape(dimension=2, V=ex.parse("x^2 + y^2", 2),
                        b=(zero, zero), nu=(zero, zero), halfwidth=2.0,
                        name="single_well")
-    crit = find_critical_points(single)
-    wm1 = label_minima(crit, SublevelTopology(single))
-    op1 = assemble(single, h, Grid(2.0, 96), "L-weighted", criticals=crit)
+    one = Analysis(single)
 
     cases = [
-        ("single", wm1, op1),
-        ("double", sym_double.wm, sym_double.op(h, 96)),
-        ("triple", triple.wm, triple.op(h, 128)),
+        ("single", one.wm, one.operator(h, 96)),
+        ("double", sym_double.wm, sym_double.operator(h, 96)),
+        ("triple", triple.wm, triple.operator(h, 128)),
     ]
     breaches = []
     counts, C = [], 0.0
@@ -256,7 +252,7 @@ def test_05_quasimode_forms(tilted_geom, tilted_c0, triple):
         norm_dev = max(norm_dev, abs(nr - 1.0))
         if not 1.0 / (1.0 + 10.0 * h) <= nr <= 1.0 + 10.0 * h:
             breaches.append(f"h={h}: norm ratio {nr:.3f} outside (1+10h)")
-        forms = dirichlet_and_residuals(qm, tilted_c0.op(h, 192))
+        forms = dirichlet_and_residuals(qm, tilted_c0.operator(h, 192))
         _, phi_pred = predicted_dirichlet(well, tilted_c0.wm, tilted_c0.data,
                                           h)
         dr = forms.dirichlet_phi / phi_pred
@@ -281,7 +277,7 @@ def test_05_quasimode_forms(tilted_geom, tilted_c0, triple):
         qms = [constant_quasimode(w, grid, triple.land, h) if w.is_global
                else build_quasimode(w, geoms[id(w)], h)
                for w in triple.wm.wells]
-        res = interaction_matrix(qms, triple.op(h, 96))
+        res = interaction_matrix(qms, triple.operator(h, 96))
         K = res.interaction
         off = np.abs(K - np.diag(np.diag(K)))
         if off.max() > 1e-10 * np.max(np.abs(np.diag(K))):
@@ -302,7 +298,7 @@ def test_05_quasimode_forms(tilted_geom, tilted_c0, triple):
 
 def test_06_semigroup_decay_rate(tilted_c0):
     """Fitted decay rate of the evolved indicator equals lambda_2."""
-    op = tilted_c0.op(0.15, 96)
+    op = tilted_c0.operator(0.15, 96)
     lam2 = float(np.sort(small_spectrum(op, 4).eigenvalues.real)[1])
     sad_x = tilted_c0.shallow_well.saddles[0].point[0]
     u0 = remove_weighted_mean(
@@ -325,7 +321,7 @@ def test_07_hitting_times_match_rate(sde_tilted, tilted_c0, tilted_c1):
     for tag, bu in (("c0", tilted_c0), ("c1", tilted_c1)):
         cfg, st = sde_tilted[tag]
         _, st_half = sde_tilted[tag + "_half"]
-        lam2 = float(np.sort(small_spectrum(bu.op(cfg.h, 96), 4)
+        lam2 = float(np.sort(small_spectrum(bu.operator(cfg.h, 96), 4)
                              .eigenvalues.real)[1])
         if st.trials < 2000:
             breaches.append(f"{tag}: only {st.trials} trials")
@@ -350,8 +346,8 @@ def test_07_hitting_times_match_rate(sde_tilted, tilted_c0, tilted_c1):
 def test_08_flat_form_shares_weighted_spectrum(tilted_c0):
     """10 smallest eigenvalues of the flat form = h x weighted spectrum."""
     h = 0.15
-    eL = np.sort(small_spectrum(tilted_c0.op(h, 96), 10).eigenvalues.real)
-    eP = np.sort(small_spectrum(tilted_c0.op(h, 96, which="P-flat"), 10)
+    eL = np.sort(small_spectrum(tilted_c0.operator(h, 96), 10).eigenvalues.real)
+    eP = np.sort(small_spectrum(tilted_c0.operator(h, 96, which="P-flat"), 10)
                  .eigenvalues.real)
     # the kernel eigenvalue is 0 in exact arithmetic; both solvers return
     # their own ~1e-12 rounding floor there, so the relative comparison

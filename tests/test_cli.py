@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kramers_lab import analysis, cli
+from kramers_lab.analysis import Analysis
 from kramers_lab.cli import ConfigError, main, parse_config
-from kramers_lab.labelling import SublevelTopology, label_minima
-from kramers_lab.landscape import find_critical_points, make_preset
+from kramers_lab.landscape import make_preset
 from kramers_lab.saddle import predict_spectrum
 
 
@@ -76,6 +77,28 @@ def test_schema_rejections(tmp_path):
     with pytest.raises(ConfigError, match="landscape.V: "):
         parse_config(_write_cfg(tmp_path, stages=["analyze"],
                                 landscape={"dimension": 2, "V": "x +* y"}))
+    base = {"stages": ["sde"],
+            "landscape": {"preset": "tilted_double_well"}}
+    for override, where in [
+        ({"grid": {"n": "abc"}}, r"grid\.n: expected an integer"),
+        ({"grid": {"n": 96.5}}, r"grid\.n: expected an integer"),
+        ({"h": 0.2}, "h: must be a list"),
+        ({"h": [0.2, "x"]}, r"h\[1\]: expected a number"),
+        ({"c": [None]}, r"c\[0\]: expected a number"),
+        ({"seed": -1}, "seed: must be non-negative"),
+        ({"seed": True}, "seed: expected an integer"),
+        ({"sde": {"trials": 0}}, "sde.trials: needs at least one"),
+        ({"sde": {"radius": "wide"}}, "sde.radius: expected a number"),
+        ({"sde": {"radius": 0}}, "sde.radius: must be positive"),
+        ({"sde": 5}, "sde: must be an object"),
+        ({"graded": {"instances": 0}}, "graded.instances: needs at least"),
+        ({"landscape": {"preset": "tilted_double_well", "a": "abc"}},
+         "landscape.a: expected a number"),
+        ({"landscape": {"dimension": 2, "V": "x^2 + y^2", "box": [2]}},
+         "landscape.box: expected a number"),
+    ]:
+        with pytest.raises(ConfigError, match=where):
+            parse_config(_write_cfg(tmp_path, **{**base, **override}))
 
 
 def test_graded_selftest_needs_no_landscape(tmp_path):
@@ -102,9 +125,9 @@ def test_analyze_emits_the_labelled_catalog(tilted_run):
     assert float(by_x[0][1]) == pytest.approx(-1.0574, abs=1e-3)
     assert by_x[0][4] == "inf" and float(by_x[0][6]) == 0.0
     # shallow well matches the library prediction exactly
-    land = make_preset("tilted_double_well")
-    wm = label_minima(find_critical_points(land), SublevelTopology(land))
-    pred = [p for p in predict_spectrum(land, wm, 0.2) if p.S != np.inf][0]
+    ana = Analysis(make_preset("tilted_double_well"))
+    pred = [p for p in predict_spectrum(ana.land, ana.wm, 0.2)
+            if p.S != np.inf][0]
     assert float(by_x[1][5]) == pytest.approx(pred.zeta, rel=1e-10)
     assert float(by_x[1][6]) == pytest.approx(pred.lam, rel=1e-10)
 
@@ -152,16 +175,31 @@ def test_manifest_records_stages_and_versions(tilted_run):
     assert man["config"]["grid"]["n"] == 96
 
 
-def test_sde_stage_report(tmp_path):
+def test_sde_stage_report(tmp_path, monkeypatch):
+    calls = {"assemble": 0, "small_spectrum": 0}
+
+    def counted(name):
+        fn = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counted(name))
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path,
                      landscape={"preset": "tilted_double_well"},
                      h=[0.25],
-                     stages=["sde"],
+                     stages=["spectrum", "sde"],
                      grid={"n": 64},
                      sde={"trials": 150},
                      out=str(out))
     assert main(["run", str(cfg)]) == 0
+    # the spectrum and sde stages share one assembly and one solve
+    assert calls == {"assemble": 1, "small_spectrum": 1}
+    assert (out / "spectrum_sweep.csv").exists()
     header, rows = _read_csv(out / "sde_report.csv")
     assert header == ["h", "c", "mean_tau", "stderr", "inv_lambda2", "ratio"]
     assert len(rows) == 1
@@ -196,6 +234,27 @@ def test_planted_nonstationary_drift_fails_analyze(tmp_path, capsys):
     man = json.loads((out / "run_manifest.json").read_text())
     assert man["stages"][0]["status"] == "failed"
     assert "b.grad V" in man["stages"][0]["message"]
+
+
+def test_unexpected_error_keeps_its_traceback(tmp_path, monkeypatch):
+    def broken(ctx):
+        raise KeyError("planted")
+
+    monkeypatch.setitem(cli._STAGE_FUNCS, "analyze", broken)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     h=[0.2],
+                     stages=["analyze", "spectrum", "graded-selftest"],
+                     out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    man = json.loads((out / "run_manifest.json").read_text())
+    first, *later = man["stages"]
+    assert first["status"] == "failed"
+    assert first["message"] == "analyze: KeyError: 'planted'"
+    assert "KeyError: 'planted'" in first["traceback"]
+    assert "in broken" in first["traceback"]
+    assert [s["status"] for s in later] == ["skipped", "skipped"]
 
 
 def test_failed_stage_skips_dependents(tmp_path):

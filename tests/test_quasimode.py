@@ -181,7 +181,7 @@ def test_constant_quasimode_is_kernel_direction(tilted_c0):
     qg = constant_quasimode(tilted_c0.wm.global_well, grid, tilted_c0.land,
                             0.15)
     assert qg.norm == pytest.approx(1.0, rel=1e-12)
-    op = tilted_c0.op(0.15, 96)
+    op = tilted_c0.operator(0.15, 96)
     Lphi = op.matrix @ qg.phi
     assert math.sqrt(float(np.real(op.inner(Lphi, Lphi)))) <= 1e-3
     with pytest.raises(ValueError, match="global"):
@@ -209,7 +209,7 @@ def test_dirichlet_form_matches_rate_prediction(tilted_geom, tilted_c0):
     ratios = []
     for h in (0.05, 0.1, 0.2):
         qm = build_quasimode(well, tilted_geom, h)
-        forms = dirichlet_and_residuals(qm, tilted_c0.op(h, N))
+        forms = dirichlet_and_residuals(qm, tilted_c0.operator(h, N))
         _, phi_pred = predicted_dirichlet(well, tilted_c0.wm, tilted_c0.data,
                                           h)
         ratio = forms.dirichlet_phi / phi_pred
@@ -226,7 +226,7 @@ def test_residual_ratio_is_linear_in_h(tilted_geom, tilted_c0):
     rr = []
     for h in hs:
         qm = build_quasimode(well, tilted_geom, h)
-        forms = dirichlet_and_residuals(qm, tilted_c0.op(float(h), N))
+        forms = dirichlet_and_residuals(qm, tilted_c0.operator(float(h), N))
         rr.append(forms.residual_sq / forms.dirichlet_psi)
     rr = np.array(rr)
     # halving h never increases the ratio by more than 10%
@@ -236,7 +236,7 @@ def test_residual_ratio_is_linear_in_h(tilted_geom, tilted_c0):
     assert r_sq >= 0.95
     # symmetric case: L* = L, so both residuals coincide
     forms = dirichlet_and_residuals(build_quasimode(well, tilted_geom, 0.1),
-                                    tilted_c0.op(0.1, N))
+                                    tilted_c0.operator(0.1, N))
     assert forms.adjoint_residual_sq == pytest.approx(forms.residual_sq,
                                                       rel=1e-10)
 
@@ -248,7 +248,7 @@ def test_adjoint_residual_stays_order_one_nonreversible(tilted_geom_c1,
     well = tilted_c1.shallow_well
     for h in (0.1, 0.15, 0.2):
         qm = build_quasimode(well, tilted_geom_c1, h)
-        forms = dirichlet_and_residuals(qm, tilted_c1.op(h, N))
+        forms = dirichlet_and_residuals(qm, tilted_c1.operator(h, N))
         adj = forms.adjoint_residual_sq / forms.dirichlet_psi
         fwd = forms.residual_sq / forms.dirichlet_psi
         assert 5.0 <= adj <= 40.0
@@ -260,7 +260,7 @@ def test_nonreversible_dirichlet_uses_transverse_rate(tilted_geom_c1,
     well = tilted_c1.shallow_well
     for h in (0.1, 0.2):
         qm = build_quasimode(well, tilted_geom_c1, h)
-        forms = dirichlet_and_residuals(qm, tilted_c1.op(h, N))
+        forms = dirichlet_and_residuals(qm, tilted_c1.operator(h, N))
         _, phi_pred = predicted_dirichlet(well, tilted_c1.wm, tilted_c1.data,
                                           h)
         ratio = forms.dirichlet_phi / phi_pred
@@ -270,11 +270,11 @@ def test_nonreversible_dirichlet_uses_transverse_rate(tilted_geom_c1,
 def test_forms_reject_mismatched_operator(tilted_geom, tilted_c0):
     qm = build_quasimode(tilted_c0.shallow_well, tilted_geom, 0.1)
     with pytest.raises(QuasimodeError, match="L-weighted"):
-        dirichlet_and_residuals(qm, tilted_c0.op(0.1, N, which="P-flat"))
+        dirichlet_and_residuals(qm, tilted_c0.operator(0.1, N, which="P-flat"))
     with pytest.raises(QuasimodeError, match="match"):
-        dirichlet_and_residuals(qm, tilted_c0.op(0.2, N))
+        dirichlet_and_residuals(qm, tilted_c0.operator(0.2, N))
     with pytest.raises(QuasimodeError, match="match"):
-        dirichlet_and_residuals(qm, tilted_c0.op(0.1, 96))
+        dirichlet_and_residuals(qm, tilted_c0.operator(0.1, 96))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def test_forms_reject_mismatched_operator(tilted_geom, tilted_c0):
 def test_triple_well_interaction_offdiagonals_vanish(triple):
     grid = Grid(halfwidth=3.0, n=96)
     qms = _triple_quasimodes(triple, grid, 0.15)
-    res = interaction_matrix(qms, triple.op(0.15, 96))
+    res = interaction_matrix(qms, triple.operator(0.15, 96))
     K = res.interaction
     diag = np.diag(K)
     off = np.abs(K - np.diag(diag))
@@ -292,7 +292,7 @@ def test_triple_well_interaction_offdiagonals_vanish(triple):
     for j, qm in enumerate(qms):
         if qm.well.is_global:
             continue
-        forms = dirichlet_and_residuals(qm, triple.op(0.15, 96))
+        forms = dirichlet_and_residuals(qm, triple.operator(0.15, 96))
         assert K[j, j] == pytest.approx(forms.dirichlet_phi, rel=1e-12)
 
 
@@ -301,7 +301,7 @@ def test_gram_identity_plus_exponentially_small(triple):
     offs = {}
     for h in (0.1, 0.2):
         res = interaction_matrix(_triple_quasimodes(triple, grid, h),
-                                 triple.op(h, 96))
+                                 triple.operator(h, 96))
         G = res.gram
         assert np.allclose(np.diag(G), 1.0, atol=1e-12)
         assert np.allclose(G, G.T, atol=1e-14)
@@ -312,7 +312,7 @@ def test_gram_identity_plus_exponentially_small(triple):
     assert c_fit > 0.15
     # the two non-global supports are disjoint, so that entry is exactly 0
     qms = _triple_quasimodes(triple, grid, 0.15)
-    res = interaction_matrix(qms, triple.op(0.15, 96))
+    res = interaction_matrix(qms, triple.operator(0.15, 96))
     ng = [j for j, q in enumerate(qms) if not q.well.is_global]
     assert abs(res.gram[ng[0], ng[1]]) <= 1e-15
     assert not np.any(qms[ng[0]].support & qms[ng[1]].support)
@@ -321,4 +321,4 @@ def test_gram_identity_plus_exponentially_small(triple):
 def test_equal_level_overlap_rejected(tilted_geom, tilted_c0):
     qm = build_quasimode(tilted_c0.shallow_well, tilted_geom, 0.1)
     with pytest.raises(QuasimodeError, match="decrease"):
-        interaction_matrix([qm, qm], tilted_c0.op(0.1, N))
+        interaction_matrix([qm, qm], tilted_c0.operator(0.1, N))

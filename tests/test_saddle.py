@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from kramers_lab.labelling import SublevelTopology, label_minima
-from kramers_lab.landscape import CriticalPoint, find_critical_points, make_preset
+from kramers_lab.analysis import Analysis
+from kramers_lab.landscape import CriticalPoint, make_preset
 from kramers_lab.saddle import (
     ConditioningError,
     SaddleError,
@@ -17,7 +17,6 @@ from kramers_lab.saddle import (
     predict_spectrum,
     prefactor,
     transverse_data,
-    transverse_map,
 )
 
 SQ17 = math.sqrt(17.0)
@@ -158,27 +157,19 @@ def test_premise_violations_raise():
 # ---------------------------------------------------------------------------
 # prefactors and spectrum predictions
 
-def analysis(name, c=0.0):
-    land = make_preset(name, c=c)
-    cps = find_critical_points(land)
-    topo = SublevelTopology(land, resolution=256)
-    wm = label_minima(cps, topo)
-    return land, wm, transverse_map(land, wm)
-
-
 @pytest.mark.parametrize("c, zeta_exact", [
     (0.0, 8.0 / (2.0 * math.pi) * 4.0 / math.sqrt(8.0)),
     (1.0, 8.0 / (2.0 * math.pi) * (1.0 + SQ17) / math.sqrt(8.0)),
 ])
 def test_equal_depth_double_well_prefactor(c, zeta_exact):
-    land, wm, data = analysis("sym_double_well", c=c)
-    well = next(w for w in wm.wells if not w.is_global)
-    assert prefactor(well, wm, data) == pytest.approx(zeta_exact, rel=1e-9)
+    ana = Analysis(make_preset("sym_double_well", c=c))
+    assert prefactor(ana.shallow_well, ana.wm, ana.data) == pytest.approx(
+        zeta_exact, rel=1e-9)
 
 
-def test_tilted_prefactor_and_predictions():
-    land, wm, data = analysis("tilted_double_well")
-    well = next(w for w in wm.wells if not w.is_global)
+def test_tilted_prefactor_and_predictions(tilted_c0):
+    land, wm, data = tilted_c0.land, tilted_c0.wm, tilted_c0.data
+    well = tilted_c0.shallow_well
     zeta = prefactor(well, wm, data)
     assert zeta == pytest.approx(0.7847783, rel=1e-6)
 
@@ -193,11 +184,9 @@ def test_tilted_prefactor_and_predictions():
     assert lam < lam2
 
 
-def test_tilted_nonreversible_mu_ratio_and_orientation():
-    land0, wm0, data0 = analysis("tilted_double_well", c=0.0)
-    land1, wm1, data1 = analysis("tilted_double_well", c=1.0)
-    (d0,) = data0.values()
-    (d1,) = data1.values()
+def test_tilted_nonreversible_mu_ratio_and_orientation(tilted_c0, tilted_c1):
+    (d0,) = tilted_c0.data.values()
+    (d1,) = tilted_c1.data.values()
     assert d0.lambda1 == pytest.approx(-3.8063, abs=2e-4)
     assert d1.mu == pytest.approx(-4.90825, abs=2e-4)
     assert d1.abs_mu / d0.abs_mu == pytest.approx(1.28951, abs=1e-4)
@@ -206,18 +195,17 @@ def test_tilted_nonreversible_mu_ratio_and_orientation():
     assert d1.oriented and d1.xi[0] > 0
 
 
-def test_prefactor_is_additive_over_boundary_saddles():
-    land, wm, data = analysis("tilted_double_well")
-    well = next(w for w in wm.wells if not w.is_global)
+def test_prefactor_is_additive_over_boundary_saddles(tilted_c0):
+    wm, data = tilted_c0.wm, tilted_c0.data
+    well = tilted_c0.shallow_well
     doubled = dataclasses.replace(well, saddles=well.saddles * 2,
                                   saddle_sides=well.saddle_sides * 2)
     assert prefactor(doubled, wm, data) == pytest.approx(
         2.0 * prefactor(well, wm, data), rel=1e-14)
 
 
-def test_triple_well_predictions_follow_rounds():
-    land, wm, data = analysis("triple_well")
-    preds = predict_spectrum(land, wm, h=0.15, data=data)
+def test_triple_well_predictions_follow_rounds(triple):
+    preds = predict_spectrum(triple.land, triple.wm, h=0.15, data=triple.data)
     assert len(preds) == 3
     assert math.isinf(preds[0].S)
     assert preds[1].S == pytest.approx(0.361456, abs=1e-5)
@@ -225,7 +213,6 @@ def test_triple_well_predictions_follow_rounds():
     assert all(p.lam > 0 for p in preds[1:])
 
 
-def test_global_well_has_no_prefactor():
-    land, wm, data = analysis("tilted_double_well")
+def test_global_well_has_no_prefactor(tilted_c0):
     with pytest.raises(ValueError):
-        prefactor(wm.global_well, wm, data)
+        prefactor(tilted_c0.wm.global_well, tilted_c0.wm, tilted_c0.data)

@@ -15,15 +15,14 @@ from kramers_lab.sde import (
     SdeError,
     SimulationConfig,
     _drift_table,
-    drift_bound,
     halved_dt,
     hitting_time_stats,
     make_config,
 )
 
 
-def _lambda2(bundle, h, n=96):
-    res = small_spectrum(bundle.op(h, n), count=4)
+def _lambda2(ana, h, n=96):
+    res = small_spectrum(ana.operator(h, n), count=4)
     return float(np.real(res.eigenvalues[1]))
 
 
@@ -81,8 +80,10 @@ def test_drift_table_matches_exact_drift(tilted_c1):
     pts = np.column_stack([axis[idx[:, 0]], axis[idx[:, 1]]])
     exact = land.grad_V_at(pts) + land.b_h_at(pts, 0.2)
     assert np.allclose(table[idx[:, 0], idx[:, 1]], exact, atol=1e-12)
-    assert drift_bound(land, 0.2) == pytest.approx(
-        np.sqrt((table**2).sum(axis=2)).max())
+    # the default dt is the guard min(h, 1) / (10 max|U_h|) over the table
+    cfg = make_config(land, tilted_c1.wm, 0.2, trials=10)
+    assert cfg.dt == pytest.approx(
+        0.2 / (10.0 * np.sqrt((table**2).sum(axis=2)).max()), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +192,9 @@ def test_max_time_cap_raises(tilted_c0, monkeypatch):
 # Physics: rates, trends, step-size audit
 
 def test_mean_time_matches_spectral_rate(sde_tilted, tilted_c0, tilted_c1):
-    for tag, bundle in (("c0", tilted_c0), ("c1", tilted_c1)):
+    for tag, ana in (("c0", tilted_c0), ("c1", tilted_c1)):
         cfg, st = sde_tilted[tag]
-        lam2 = _lambda2(bundle, 0.2)
+        lam2 = _lambda2(ana, 0.2)
         assert 0.5 / lam2 <= st.mean <= 2.0 / lam2, (tag, st.mean, 1 / lam2)
         assert st.escapes == 0
         assert st.stderr < 0.05 * st.mean
