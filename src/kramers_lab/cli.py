@@ -3,7 +3,7 @@
 Config is a JSON object::
 
     {
-      "landscape": {"preset": "tilted_double_well"}
+      "landscape": {"preset": "tilted_double_well", "a": 0.5}
                    or {"dimension": 2, "V": "(x^2-1)^2 + y^2",
                        "b": ["...", "..."], "nu": ["...", "..."],
                        "box": 2.0},
@@ -18,11 +18,12 @@ Config is a JSON object::
       "graded": {"instances": 200}
     }
 
-Stages run in dependency order; analyze is added implicitly when a later
-stage needs its output.  Every run writes run_manifest.json (config,
-versions, stage outcomes); data files are CSV with a fixed number format,
-so identical config + seed reproduce byte-identical bodies.  Exit codes:
-0 all stage assertions passed, 1 a stage failed, 2 config/usage error.
+A key outside this schema is a config error.  Stages run in dependency
+order; analyze is added implicitly when a later stage needs its output.
+Every run writes run_manifest.json (config, versions, stage outcomes);
+data files are CSV with a fixed number format, so identical config + seed
+reproduce byte-identical bodies.  Exit codes: 0 all stage assertions
+passed, 1 a stage failed, 2 config/usage error.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ from .sde import hitting_time_stats, make_config
 
 STAGES = ("analyze", "spectrum", "quasimode", "sde", "graded-selftest")
 _NEEDS_LANDSCAPE = ("analyze", "spectrum", "quasimode", "sde")
+_TOP_KEYS = ("landscape", "h", "c", "grid", "stages", "out", "seed", "sde",
+             "quasimode", "graded")
+_LANDSCAPE_KEYS = ("preset", "a", "dimension", "V", "b", "nu", "box")
 
 
 class ConfigError(ValueError):
@@ -102,9 +106,16 @@ def _numbers(value, where):
     return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
-def _section(raw, key):
+def _known_keys(obj, where, allowed):
+    for key in obj:
+        _require(key in allowed, f"{where}{key}",
+                 f"unknown key; allowed: {', '.join(allowed)}")
+
+
+def _section(raw, key, allowed):
     value = raw.get(key, {})
     _require(isinstance(value, dict), key, "must be an object")
+    _known_keys(value, f"{key}.", allowed)
     return value
 
 
@@ -120,6 +131,7 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(
             f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
     _require(isinstance(raw, dict), str(path), "top level must be an object")
+    _known_keys(raw, "", _TOP_KEYS)
     raw = dict(raw)
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -141,6 +153,7 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
     if any(s in wanted for s in _NEEDS_LANDSCAPE):
         _require(isinstance(land, dict), "landscape",
                  f"required by stages {', '.join(sorted(wanted & set(_NEEDS_LANDSCAPE)))}")
+        _known_keys(land, "landscape.", _LANDSCAPE_KEYS)
         land = dict(land)
         for key in ("a", "box"):
             if key in land:
@@ -182,17 +195,22 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
         _require(c == (0.0,), "c",
                  "a c sweep applies to preset landscapes only")
 
-    grid_n = _number(_section(raw, "grid").get("n", 96), "grid.n", int)
+    grid_n = _number(_section(raw, "grid", ("n",)).get("n", 96), "grid.n",
+                     int)
     _require(grid_n >= 16, "grid.n", "needs at least 16 nodes per axis")
 
-    sde_opts = _section(raw, "sde")
+    sde_opts = _section(raw, "sde", ("trials", "radius"))
     trials = _number(sde_opts.get("trials", 500), "sde.trials", int)
     _require(trials >= 1, "sde.trials", "needs at least one trial")
     radius = _number(sde_opts.get("radius", 0.3), "sde.radius")
     _require(radius > 0, "sde.radius", "must be positive")
-    qm_opts = _section(raw, "quasimode")
-    instances = _number(_section(raw, "graded").get("instances", 200),
-                        "graded.instances", int)
+    export = _section(raw, "quasimode", ("export_fields",)).get(
+        "export_fields", False)
+    _require(isinstance(export, bool), "quasimode.export_fields",
+             f"expected true or false, got {export!r}")
+    instances = _number(
+        _section(raw, "graded", ("instances",)).get("instances", 200),
+        "graded.instances", int)
     _require(instances >= 1, "graded.instances",
              "needs at least one instance")
     out = Path(raw.get("out", "kramers_out"))
@@ -209,7 +227,7 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
         seed=seed,
         sde_trials=trials,
         sde_radius=radius,
-        quasimode_export=bool(qm_opts.get("export_fields", False)),
+        quasimode_export=export,
         graded_instances=instances,
     )
 

@@ -49,6 +49,7 @@ class SdeError(ValueError):
 
 
 _TABLE_N = 513
+_TABLE_ROWS = 32
 _TAIL_SWITCH = 24
 # Shards run in forked workers: a two-worker pool starts in 50-75 ms per
 # call, against about 1 s with spawn or forkserver, whose workers import
@@ -60,10 +61,15 @@ _START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
 def _drift_table(land: Landscape, h: float, n: int = _TABLE_N):
     L = land.halfwidth
     axis = np.linspace(-L, L, n)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    U = land.grad_V_at(pts) + land.b_h_at(pts, h)
-    return axis, U.reshape(n, n, 2)
+    U = np.empty((n, n, 2))
+    # a block of rows at a time: the expression temporaries for all n^2
+    # nodes at once would set the process's peak memory
+    for i in range(0, n, _TABLE_ROWS):
+        xx, yy = np.meshgrid(axis[i:i + _TABLE_ROWS], axis, indexing="ij")
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        U[i:i + _TABLE_ROWS] = (land.grad_V_at(pts)
+                                + land.b_h_at(pts, h)).reshape(-1, n, 2)
+    return axis, U
 
 
 def _table_max(table: np.ndarray) -> float:

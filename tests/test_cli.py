@@ -96,6 +96,17 @@ def test_schema_rejections(tmp_path):
          "landscape.a: expected a number"),
         ({"landscape": {"dimension": 2, "V": "x^2 + y^2", "box": [2]}},
          "landscape.box: expected a number"),
+        ({"sde": {"trails": 10}}, r"sde\.trails: unknown key"),
+        ({"grids": {"n": 96}}, "grids: unknown key"),
+        ({"grid": {"m": 96}}, r"grid\.m: unknown key"),
+        ({"graded": {"instance": 5}}, r"graded\.instance: unknown key"),
+        ({"quasimode": {"export": True}}, r"quasimode\.export: unknown key"),
+        ({"landscape": {"preset": "tilted_double_well", "c": 1.0}},
+         r"landscape\.c: unknown key"),
+        ({"quasimode": {"export_fields": "false"}},
+         r"quasimode\.export_fields: expected true or false"),
+        ({"quasimode": {"export_fields": 0}},
+         r"quasimode\.export_fields: expected true or false"),
     ]:
         with pytest.raises(ConfigError, match=where):
             parse_config(_write_cfg(tmp_path, **{**base, **override}))

@@ -16,9 +16,11 @@ from kramers_lab.quasimode import (
     CutoffGeometry,
     GeometryError,
     QuasimodeError,
+    _profile_integral,
     build_cutoffs,
     build_quasimode,
     constant_quasimode,
+    default_parameters,
     dirichlet_and_residuals,
     interaction_matrix,
     plateau_bump,
@@ -174,6 +176,59 @@ def test_profile_odd_through_saddle(sym_double):
     pair = tube & plateau & tube[::-1, :]
     assert pair.sum() > 100
     assert np.max(np.abs(kappa + kappa[::-1, :])[pair]) <= 1e-10
+
+
+def _saddle_profile_scales(ana):
+    well = ana.shallow_well
+    rho0, _ = default_parameters(well, ana.wm)
+    return rho0, ana.data[id(well.saddles[0])].abs_mu
+
+
+# QUADPACK reports round-off at these tolerances; the bound below is what
+# its answer is held to.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.2])
+@pytest.mark.parametrize("fixture", ["tilted_c0", "tilted_c1"])
+def test_profile_integral_matches_quad(fixture, h, request):
+    from scipy.integrate import quad
+    from scipy.special import erf
+
+    rho0, mu = _saddle_profile_scales(request.getfixturevalue(fixture))
+    t = np.linspace(rho0, 2.0 * rho0, 1002)[1:-1]
+    got, _ = _profile_integral(t, rho0, mu, h)
+
+    s = math.sqrt(mu / (2.0 * h))
+    plateau = math.sqrt(math.pi) / (2.0 * s) * erf(s * rho0)
+
+    def f(eta):
+        # plateau_bump(eta / rho0) for rho0 < eta < 2 rho0, in scalar math
+        # (quad never evaluates the end points)
+        u = 2.0 - eta / rho0
+        g, gc = math.exp(-1.0 / u), math.exp(-1.0 / (1.0 - u))
+        return g / (g + gc) * math.exp(-mu * eta * eta / (2.0 * h))
+
+    mid = np.linspace(rho0, 2.0 * rho0, 9)[1:-1]
+    numpy_f = plateau_bump(mid / rho0) * np.exp(-mu * mid**2 / (2.0 * h))
+    assert np.allclose([f(x) for x in mid], numpy_f, rtol=1e-15, atol=0.0)
+
+    ref = np.array([plateau + quad(f, rho0, x, epsabs=1e-16, epsrel=1e-15,
+                                   limit=200)[0] for x in t])
+    assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("h", [0.05, 0.2])
+def test_profile_integral_is_odd_monotone_and_flat(tilted_c1, h):
+    rho0, mu = _saddle_profile_scales(tilted_c1)
+    rng = np.random.default_rng(5)
+    t = np.concatenate([rng.uniform(-3.0 * rho0, 3.0 * rho0, 4000),
+                        [0.0, rho0, 2.0 * rho0, 3.0 * rho0]])
+    t = np.concatenate([t, -t])
+    got, full = _profile_integral(t, rho0, mu, h)
+    half = len(t) // 2
+    assert np.array_equal(got[:half], -got[half:])
+    order = np.argsort(np.abs(t), kind="stable")
+    assert np.all(np.diff(np.abs(got)[order]) >= 0.0)
+    assert np.all(np.abs(got[np.abs(t) >= 2.0 * rho0]) == full)
 
 
 def test_constant_quasimode_is_kernel_direction(tilted_c0):

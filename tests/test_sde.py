@@ -86,6 +86,16 @@ def test_drift_table_matches_exact_drift(tilted_c1):
         0.2 / (10.0 * np.sqrt((table**2).sum(axis=2)).max()), rel=1e-14)
 
 
+@pytest.mark.parametrize("fixture", ["tilted_c0", "tilted_c1"])
+def test_drift_table_blocks_match_one_shot_evaluation(fixture, request):
+    land = request.getfixturevalue(fixture).land
+    axis, table = _drift_table(land, 0.2)
+    xx, yy = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    one_shot = land.grad_V_at(pts) + land.b_h_at(pts, 0.2)
+    assert np.array_equal(table, one_shot.reshape(table.shape))
+
+
 # ---------------------------------------------------------------------------
 # Degenerate and deterministic behaviour
 
