@@ -18,8 +18,22 @@ Config is a JSON object::
       "graded": {"instances": 200}
     }
 
-A key outside this schema is a config error.  Stages run in dependency
-order; analyze is added implicitly when a later stage needs its output.
+A key outside this schema is a config error, and so is a key the chosen
+landscape would ignore: ``box``, ``V``, ``b``, ``nu`` or ``dimension``
+next to a preset, or the tilt ``a`` anywhere but on
+``tilted_double_well``.  Stages run in dependency order; analyze is added
+implicitly when a later stage needs its output.
+
+The graded self-test reads nothing from the landscape, so when it is
+among the stages ``run`` forks one worker process for it before the first
+stage; it runs on a second CPU beside the landscape stages and hands its
+report back when the graded-selftest stage comes up, which writes and
+checks it.  The worker is a copy-on-write fork of the process as it is
+before any landscape work and shares most of its pages with it; it holds
+about 10 MB of its own on the 200-instance default (see README).
+A run whose earlier stage fails stops the worker.  ``kramers-lab
+selftest`` runs the self-test in-process.
+
 Every run writes run_manifest.json (config, versions, stage outcomes);
 data files are CSV with a fixed number format, so identical config + seed
 reproduce byte-identical bodies.  Exit codes: 0 all stage assertions
@@ -30,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -55,13 +70,14 @@ from .quasimode import (
     predicted_norm_sq,
 )
 from .saddle import predict_spectrum
-from .sde import hitting_time_stats, make_config
+from .sde import _START_METHOD, hitting_time_stats, make_config
 
 STAGES = ("analyze", "spectrum", "quasimode", "sde", "graded-selftest")
 _NEEDS_LANDSCAPE = ("analyze", "spectrum", "quasimode", "sde")
 _TOP_KEYS = ("landscape", "h", "c", "grid", "stages", "out", "seed", "sde",
              "quasimode", "graded")
-_LANDSCAPE_KEYS = ("preset", "a", "dimension", "V", "b", "nu", "box")
+_CUSTOM_KEYS = ("dimension", "V", "b", "nu", "box")
+_LANDSCAPE_KEYS = ("preset", "a") + _CUSTOM_KEYS
 
 
 class ConfigError(ValueError):
@@ -162,6 +178,10 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
             _require(land["preset"] in PRESETS, "landscape.preset",
                      f"unknown preset {land['preset']!r}; "
                      f"available: {', '.join(PRESETS)}")
+            for key in _CUSTOM_KEYS:
+                _require(key not in land, f"landscape.{key}",
+                         "a preset fixes its own field and box; "
+                         "drop the key or the preset")
         else:
             _require("V" in land, "landscape.V",
                      "missing potential expression")
@@ -183,6 +203,10 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
                         except ValueError as e:
                             raise ConfigError(
                                 f"landscape.{key}[{k}]: {e}") from e
+        _require("a" not in land
+                 or land.get("preset") == "tilted_double_well",
+                 "landscape.a",
+                 "the tilt applies to the tilted_double_well preset only")
     else:
         land = None
 
@@ -257,12 +281,82 @@ class StageFailure(RuntimeError):
     pass
 
 
+class WorkerError(RuntimeError):
+    """A worker process failed; the cause carries its traceback."""
+
+
+class _RemoteTraceback(Exception):
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _send_result(conn, fn, args) -> None:
+    """Worker body: send ``(fn(*args), None)`` or ``(None, traceback)``."""
+    try:
+        result = (fn(*args), None)
+    except Exception:
+        result = (None, traceback.format_exc())
+    conn.send(result)
+    conn.close()
+
+
+class _Worker:
+    """``fn(*args)`` in a forked process that runs beside this one.
+
+    A plain Process and a one-way Pipe rather than an executor, whose
+    manager thread would live in this process: the sde stage forks its
+    pool later, and a fork with a live thread can deadlock the child.
+    ``gc.freeze()`` before the fork keeps both collectors off the objects
+    the two processes share, so fewer copy-on-write pages get duplicated;
+    ``close`` unfreezes them once the worker is reaped.
+    """
+
+    def __init__(self, fn, *args):
+        # imported here: runs without a graded stage need none of it
+        import multiprocessing
+
+        context = multiprocessing.get_context(_START_METHOD)
+        self._conn, child_end = context.Pipe(duplex=False)
+        self._proc = context.Process(target=_send_result,
+                                     args=(child_end, fn, args), daemon=True)
+        gc.freeze()
+        self._proc.start()
+        child_end.close()
+
+    def result(self):
+        """The worker's return value; its exception becomes WorkerError."""
+        try:
+            value, tb = self._conn.recv()
+        except EOFError:            # it died before sending
+            value = tb = None
+        self._proc.join()
+        code = self._proc.exitcode
+        self.close()
+        if tb is not None:
+            raise WorkerError(tb.rstrip().splitlines()[-1]) \
+                from _RemoteTraceback(tb)
+        if code != 0:
+            raise WorkerError(f"worker exited with code {code}")
+        return value
+
+    def close(self) -> None:
+        """Reap the worker, terminating it if it still runs."""
+        if self._proc is None:
+            return
+        self._proc.terminate()      # a no-op once it has been joined
+        self._proc.join()
+        self._conn.close()
+        self._proc = None
+        gc.unfreeze()
+
+
 @dataclass
 class _Context:
     """Work shared between stages for one pipeline run."""
 
     cfg: RunConfig
     analyses: dict = field(default_factory=dict)   # c -> Analysis
+    graded: _Worker | None = None                  # the graded self-test
 
     def analysis(self, c: float) -> Analysis:
         if c not in self.analyses:
@@ -447,7 +541,7 @@ def _stage_sde(ctx: _Context) -> list[str]:
 
 def _stage_graded(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
-    report = graded_selftest(instances=cfg.graded_instances, seed=cfg.seed)
+    report = ctx.graded.result()
     with open(cfg.out / "graded_selftest.json", "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
@@ -495,28 +589,36 @@ def run(cfg: RunConfig) -> int:
     ctx = _Context(cfg)
     stage_records = []
     failed = False
-    for name in cfg.stages:
-        if failed:
-            stage_records.append({"stage": name, "status": "skipped",
-                                  "message": "earlier stage failed",
-                                  "artifacts": []})
-            continue
-        try:
-            artifacts = _STAGE_FUNCS[name](ctx)
-            stage_records.append({"stage": name, "status": "passed",
-                                  "message": "", "artifacts": artifacts})
-        except StageFailure as e:
-            print(f"FAILED {e}", file=sys.stderr)
-            stage_records.append({"stage": name, "status": "failed",
-                                  "message": str(e), "artifacts": []})
-            failed = True
-        except Exception as e:
-            msg = f"{name}: {type(e).__name__}: {e}"
-            print(f"FAILED {msg}", file=sys.stderr)
-            stage_records.append({"stage": name, "status": "failed",
-                                  "message": msg, "artifacts": [],
-                                  "traceback": traceback.format_exc()})
-            failed = True
+    try:
+        if "graded-selftest" in cfg.stages:
+            # reads nothing from the landscape: start it now, on another CPU
+            ctx.graded = _Worker(graded_selftest, cfg.graded_instances,
+                                 cfg.seed)
+        for name in cfg.stages:
+            if failed:
+                stage_records.append({"stage": name, "status": "skipped",
+                                      "message": "earlier stage failed",
+                                      "artifacts": []})
+                continue
+            try:
+                artifacts = _STAGE_FUNCS[name](ctx)
+                stage_records.append({"stage": name, "status": "passed",
+                                      "message": "", "artifacts": artifacts})
+            except StageFailure as e:
+                print(f"FAILED {e}", file=sys.stderr)
+                stage_records.append({"stage": name, "status": "failed",
+                                      "message": str(e), "artifacts": []})
+                failed = True
+            except Exception as e:
+                msg = f"{name}: {type(e).__name__}: {e}"
+                print(f"FAILED {msg}", file=sys.stderr)
+                stage_records.append({"stage": name, "status": "failed",
+                                      "message": msg, "artifacts": [],
+                                      "traceback": traceback.format_exc()})
+                failed = True
+    finally:
+        if ctx.graded is not None:
+            ctx.graded.close()      # stops it when its stage was skipped
 
     manifest = {
         "config": {

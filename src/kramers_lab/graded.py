@@ -12,7 +12,6 @@ with the dense ones to machine precision.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +90,20 @@ class GradedStructure:
         return out
 
 
+def _derived(blocks: tuple, tau: tuple, h: float) -> GradedStructure:
+    """A structure over blocks and scales of one that passed validation.
+
+    The blocks are already float matrices that cleared the SVD, eig and
+    cond checks of ``__post_init__``, and callers pass h >= 0, so none of
+    the checks run again.
+    """
+    out = object.__new__(GradedStructure)
+    object.__setattr__(out, "blocks", blocks)
+    object.__setattr__(out, "tau", tau)
+    object.__setattr__(out, "h", h)
+    return out
+
+
 def assemble_graded(structure: GradedStructure, perturbation) -> np.ndarray:
     """Omega (M' + E) Omega for a perturbation E with ||E|| = O(h)."""
     E = np.asarray(perturbation, dtype=float)
@@ -138,11 +151,10 @@ def peel(M, structure: GradedStructure) -> PeeledForm:
     Z = N - B_lower @ np.linalg.solve(J, B_upper)
 
     t2 = structure.tau[0]
-    sub = GradedStructure(blocks=structure.blocks[1:], tau=structure.tau[1:],
-                          h=structure.h)
+    sub = _derived(structure.blocks[1:], structure.tau[1:], structure.h)
     om = sub.omega_diag()
     resid = (Z / t2**2) / np.outer(om, om) - sub.target()
-    sub = dataclasses.replace(sub, h=float(np.linalg.norm(resid, 2)))
+    sub = _derived(sub.blocks, sub.tau, float(np.linalg.norm(resid, 2)))
     return PeeledForm(J=J, B_upper=B_upper, B_lower=B_lower, N=N, Z=Z,
                       substructure=sub)
 
@@ -327,31 +339,6 @@ def localized_spectrum(
                          resolvent_probes=tuple(probes))
 
 
-def projector_rank(M, center: complex, radius: float, nodes: int = 64) -> int:
-    """Rank of the Riesz projector onto the disc D(center, radius).
-
-    Contour-integral cross-check for the disc-membership counts; meant for
-    small instances (n <= 20), where the trapezoid rule on the circle is
-    spectrally accurate.
-    """
-    M = np.asarray(M)
-    n = M.shape[0]
-    if n > 20:
-        raise ValueError("projector cross-check is limited to n <= 20")
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    P = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n)
-    for th in thetas:
-        z = center + radius * np.exp(1j * th)
-        P += np.linalg.solve(z * eye - M, eye) * radius * np.exp(1j * th)
-    P /= nodes
-    tr = np.trace(P)
-    if abs(tr.imag) > 1e-6 or abs(tr.real - round(tr.real)) > 1e-6:
-        raise GradedError(f"projector trace {tr} is not close to an integer; "
-                          "contour may cross an eigenvalue")
-    return int(round(tr.real))
-
-
 # ---------------------------------------------------------------------------
 # Random instances and self-test
 
@@ -433,7 +420,7 @@ def selftest(instances: int = 200, seed: int = 0, p_max: int = 4,
         probe_max = max(probe_max, max((r for _, r in report.resolvent_probes),
                                        default=0.0))
 
-        small = dataclasses.replace(structure, h=structure.h / 10.0)
+        small = _derived(structure.blocks, structure.tau, structure.h / 10.0)
         M_small = assemble_graded(small, small.h * E)
         report_small = localized_spectrum(M_small, small)
         d0 = float(np.max(dists))

@@ -1,13 +1,17 @@
 """CLI pipeline tests: config validation, stage artifacts, determinism."""
 
+import concurrent.futures
 import csv
 import json
+import multiprocessing
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kramers_lab import analysis, cli
+from kramers_lab import analysis, cli, graded, sde
 from kramers_lab.analysis import Analysis
 from kramers_lab.cli import ConfigError, main, parse_config
 from kramers_lab.landscape import make_preset
@@ -77,6 +81,10 @@ def test_schema_rejections(tmp_path):
     with pytest.raises(ConfigError, match="landscape.V: "):
         parse_config(_write_cfg(tmp_path, stages=["analyze"],
                                 landscape={"dimension": 2, "V": "x +* y"}))
+    with pytest.raises(ConfigError, match=r"landscape\.a: the tilt applies"):
+        parse_config(_write_cfg(tmp_path, stages=["analyze"],
+                                landscape={"dimension": 2, "V": "x^2 + y^2",
+                                           "a": 0.5}))
     base = {"stages": ["sde"],
             "landscape": {"preset": "tilted_double_well"}}
     for override, where in [
@@ -107,6 +115,20 @@ def test_schema_rejections(tmp_path):
          r"quasimode\.export_fields: expected true or false"),
         ({"quasimode": {"export_fields": 0}},
          r"quasimode\.export_fields: expected true or false"),
+        ({"landscape": {"preset": "tilted_double_well", "box": 3.0}},
+         r"landscape\.box: a preset fixes its own field and box"),
+        ({"landscape": {"preset": "sym_double_well", "V": "x^2 + y^2"}},
+         r"landscape\.V: a preset fixes"),
+        ({"landscape": {"preset": "triple_well", "b": ["0", "0"]}},
+         r"landscape\.b: a preset fixes"),
+        ({"landscape": {"preset": "triple_well", "nu": ["0", "0"]}},
+         r"landscape\.nu: a preset fixes"),
+        ({"landscape": {"preset": "tilted_double_well", "dimension": 2}},
+         r"landscape\.dimension: a preset fixes"),
+        ({"landscape": {"preset": "triple_well", "a": 0.3}},
+         r"landscape\.a: the tilt applies to the tilted_double_well preset"),
+        ({"landscape": {"preset": "sym_double_well", "a": 0.3}},
+         r"landscape\.a: the tilt applies"),
     ]:
         with pytest.raises(ConfigError, match=where):
             parse_config(_write_cfg(tmp_path, **{**base, **override}))
@@ -226,6 +248,96 @@ def test_graded_stage_writes_json(tmp_path):
     assert rep["instances"] == 10
     assert rep["failures"] == 0
     assert rep["min_shrink_ratio_h_over_h10"] >= 5.0
+
+
+def test_graded_report_is_the_same_beside_the_landscape_stages(tmp_path):
+    reports = []
+    for tag, stages in (("beside", ["analyze", "spectrum", "graded-selftest"]),
+                        ("alone", ["graded-selftest"])):
+        out = tmp_path / tag
+        cfg = _write_cfg(tmp_path,
+                         landscape={"preset": "tilted_double_well"},
+                         h=[0.25],
+                         grid={"n": 64},
+                         stages=stages,
+                         graded={"instances": 20},
+                         seed=5,
+                         out=str(out))
+        assert main(["run", str(cfg)]) == 0
+        reports.append((out / "graded_selftest.json").read_bytes())
+    direct = json.dumps(graded.selftest(instances=20, seed=5), indent=2)
+    assert reports[0] == reports[1] == (direct + "\n").encode()
+
+
+def test_graded_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
+    def planted_instance(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    # patched before run forks, so the worker's selftest calls it
+    monkeypatch.setattr(graded, "random_instance", planted_instance)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, stages=["graded-selftest"],
+                     graded={"instances": 5}, out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    man = json.loads((out / "run_manifest.json").read_text())
+    (record,) = man["stages"]
+    assert record["status"] == "failed"
+    assert record["message"] == \
+        "graded-selftest: WorkerError: RuntimeError: planted"
+    assert "in selftest" in record["traceback"]
+    assert "in planted_instance" in record["traceback"]
+    assert not (out / "graded_selftest.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_skipped_graded_stage_stops_its_worker(tmp_path, monkeypatch):
+    workers = []
+    close = cli._Worker.close
+
+    def spy(self):
+        if self._proc is not None:
+            workers.append(self._proc)
+        close(self)
+
+    monkeypatch.setattr(cli._Worker, "close", spy)
+    out = tmp_path / "out"
+    # analyze fails within a second; 2000 instances take several
+    cfg = _write_cfg(tmp_path,
+                     landscape={"dimension": 2, "V": "(x^2-1)^2 + y^2",
+                                "b": ["x", "0"]},
+                     h=[0.2],
+                     stages=["analyze", "graded-selftest"],
+                     graded={"instances": 2000},
+                     out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    man = json.loads((out / "run_manifest.json").read_text())
+    statuses = {s["stage"]: s["status"] for s in man["stages"]}
+    assert statuses == {"analyze": "failed", "graded-selftest": "skipped"}
+    assert [w.exitcode for w in workers] == [-signal.SIGTERM]
+    assert multiprocessing.active_children() == []
+    assert not (out / "graded_selftest.json").exists()
+
+
+def test_sde_pool_forks_from_a_single_thread(tmp_path, monkeypatch):
+    threads = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            threads.append(threading.active_count())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     h=[0.25],
+                     stages=["spectrum", "sde", "graded-selftest"],
+                     grid={"n": 64},
+                     sde={"trials": 150},
+                     graded={"instances": 200},
+                     out=str(tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+    assert threads == [1]
 
 
 # ---------------------------------------------------------------------------

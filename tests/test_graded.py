@@ -15,7 +15,6 @@ from kramers_lab.graded import (
     default_K,
     localized_spectrum,
     peel,
-    projector_rank,
     random_instance,
     selftest,
     spectrum_by_peeling,
@@ -94,6 +93,31 @@ def test_localized_spectrum_batch_with_shrink_and_peel_agreement():
     assert report["min_shrink_ratio_h_over_h10"] >= 5.0
     assert report["max_peel_vs_dense_relative_error"] <= 1e-8
     assert report["smallest_K_capturing_all"] <= 10.0
+
+
+def projector_rank(M, center: complex, radius: float, nodes: int = 64) -> int:
+    """Rank of the Riesz projector onto the disc D(center, radius).
+
+    Contour-integral cross-check for the disc-membership counts; meant for
+    small instances (n <= 20), where the trapezoid rule on the circle is
+    spectrally accurate.
+    """
+    M = np.asarray(M)
+    n = M.shape[0]
+    if n > 20:
+        raise ValueError("projector cross-check is limited to n <= 20")
+    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
+    P = np.zeros((n, n), dtype=complex)
+    eye = np.eye(n)
+    for th in thetas:
+        z = center + radius * np.exp(1j * th)
+        P += np.linalg.solve(z * eye - M, eye) * radius * np.exp(1j * th)
+    P /= nodes
+    tr = np.trace(P)
+    if abs(tr.imag) > 1e-6 or abs(tr.real - round(tr.real)) > 1e-6:
+        raise GradedError(f"projector trace {tr} is not close to an integer; "
+                          "contour may cross an eigenvalue")
+    return int(round(tr.real))
 
 
 def test_projector_rank_matches_disc_counts():
