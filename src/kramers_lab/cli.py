@@ -26,9 +26,10 @@ implicitly when a later stage needs its output.
 
 The graded self-test reads nothing from the landscape, so when it is
 among the stages ``run`` forks one worker process for it before the first
-stage; it runs on a second CPU beside the landscape stages and hands its
-report back when the graded-selftest stage comes up, which writes and
-checks it.  The worker is a copy-on-write fork of the process as it is
+stage; it runs ``graded.measure_instances`` on a second CPU beside the
+landscape stages and hands the per-instance measurements back when the
+graded-selftest stage comes up, which summarizes them with
+``graded.selftest`` in this process, then writes and checks the report.  The worker is a copy-on-write fork of the process as it is
 before any landscape work and shares most of its pages with it; it holds
 about 10 MB of its own on the 200-instance default (see README).
 A run whose earlier stage fails stops the worker.  ``kramers-lab
@@ -58,6 +59,7 @@ import numpy as np
 from . import expr as ex
 from .analysis import Analysis
 from .discretize import Grid
+from .graded import measure_instances
 from .graded import selftest as graded_selftest
 from .landscape import Landscape, PRESETS, make_preset, validate_stationarity
 from .quasimode import (
@@ -541,7 +543,8 @@ def _stage_sde(ctx: _Context) -> list[str]:
 
 def _stage_graded(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
-    report = ctx.graded.result()
+    report = graded_selftest(cfg.graded_instances, cfg.seed,
+                             measured=ctx.graded.result())
     with open(cfg.out / "graded_selftest.json", "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
@@ -592,7 +595,7 @@ def run(cfg: RunConfig) -> int:
     try:
         if "graded-selftest" in cfg.stages:
             # reads nothing from the landscape: start it now, on another CPU
-            ctx.graded = _Worker(graded_selftest, cfg.graded_instances,
+            ctx.graded = _Worker(measure_instances, cfg.graded_instances,
                                  cfg.seed)
         for name in cfg.stages:
             if failed:

@@ -390,61 +390,84 @@ def _cluster_distances(report: ClusterReport) -> np.ndarray:
     return np.array(out)
 
 
+def _measure_instance(rng, p_max, r_max, tau_max, h_max):
+    """Draw one random instance and measure it for ``selftest``.
+
+    Returns (K needed, shrink ratio h -> h/10, peeled vs dense relative
+    error, largest resolvent probe ratio), or None when its clusters
+    failed to localize.
+    """
+    structure, E = random_instance(rng, p_max, r_max, tau_max, h_max)
+    M = assemble_graded(structure, structure.h * E)
+    try:
+        report = localized_spectrum(M, structure)
+    except GradedError:
+        return None
+    eps2 = structure.epsilons ** 2
+    dists = _cluster_distances(report)
+    scale = np.array([
+        eps2[min(report.clusters, key=lambda c: abs(l - c.center)).block - 1]
+        for l in report.eigenvalues
+    ])
+    k_needed = float(np.max(dists / (scale * structure.h)))
+    probe = max((r for _, r in report.resolvent_probes), default=0.0)
+
+    small = _derived(structure.blocks, structure.tau, structure.h / 10.0)
+    M_small = assemble_graded(small, small.h * E)
+    report_small = localized_spectrum(M_small, small)
+    d0 = float(np.max(dists))
+    d1 = float(np.max(_cluster_distances(report_small)))
+    shrink = d0 / max(d1, 1e-300)
+
+    peeled = spectrum_by_peeling(M, structure)
+    err = 0.0
+    for j, cl_lams in enumerate(peeled, start=1):
+        dense = np.array([
+            l for l in report.eigenvalues
+            if min(report.clusters, key=lambda c: abs(l - c.center)).block == j
+        ])
+        a = np.sort_complex(np.asarray(cl_lams))
+        b = np.sort_complex(dense)
+        err = max(err, float(np.max(np.abs(a - b) / np.abs(b))))
+    return k_needed, shrink, err, probe
+
+
+def measure_instances(instances: int = 200, seed: int = 0, p_max: int = 4,
+                      r_max: int = 4, tau_max: float = 0.1,
+                      h_max: float = 0.01) -> list:
+    """The per-instance measurements ``selftest`` summarizes, in order."""
+    rng = np.random.default_rng(seed)
+    return [_measure_instance(rng, p_max, r_max, tau_max, h_max)
+            for _ in range(instances)]
+
+
 def selftest(instances: int = 200, seed: int = 0, p_max: int = 4,
-             r_max: int = 4, tau_max: float = 0.1, h_max: float = 0.01) -> dict:
+             r_max: int = 4, tau_max: float = 0.1, h_max: float = 0.01,
+             measured: list | None = None) -> dict:
     """Monte-Carlo verification of the localization theorem.
 
     Returns a JSON-friendly report: cluster-count failures, the smallest
     disc constant K that would have captured every instance, first-order
     shrinking of eigenvalue clusters in h, agreement of peeled and dense
-    spectra, and resolvent-probe statistics.
+    spectra, and resolvent-probe statistics.  ``measured`` is what
+    ``measure_instances`` returned for the same arguments when it ran
+    elsewhere (the CLI runs it in a worker process); None measures here.
     """
-    rng = np.random.default_rng(seed)
-    k_needed, shrink_ratios, peel_errors, probe_max = [], [], [], 0.0
-    failures = 0
-    for _ in range(instances):
-        structure, E = random_instance(rng, p_max, r_max, tau_max, h_max)
-        M = assemble_graded(structure, structure.h * E)
-        try:
-            report = localized_spectrum(M, structure)
-        except GradedError:
-            failures += 1
-            continue
-        eps2 = structure.epsilons ** 2
-        dists = _cluster_distances(report)
-        scale = np.array([
-            eps2[min(report.clusters, key=lambda c: abs(l - c.center)).block - 1]
-            for l in report.eigenvalues
-        ])
-        k_needed.append(float(np.max(dists / (scale * structure.h))))
-        probe_max = max(probe_max, max((r for _, r in report.resolvent_probes),
-                                       default=0.0))
-
-        small = _derived(structure.blocks, structure.tau, structure.h / 10.0)
-        M_small = assemble_graded(small, small.h * E)
-        report_small = localized_spectrum(M_small, small)
-        d0 = float(np.max(dists))
-        d1 = float(np.max(_cluster_distances(report_small)))
-        shrink_ratios.append(d0 / max(d1, 1e-300))
-
-        peeled = spectrum_by_peeling(M, structure)
-        err = 0.0
-        for j, cl_lams in enumerate(peeled, start=1):
-            dense = np.array([
-                l for l in report.eigenvalues
-                if min(report.clusters, key=lambda c: abs(l - c.center)).block == j
-            ])
-            a = np.sort_complex(np.asarray(cl_lams))
-            b = np.sort_complex(dense)
-            err = max(err, float(np.max(np.abs(a - b) / np.abs(b))))
-        peel_errors.append(err)
-
+    if measured is None:
+        measured = measure_instances(instances, seed, p_max, r_max,
+                                     tau_max, h_max)
+    if len(measured) != instances:
+        raise ValueError(f"measured holds {len(measured)} instances, "
+                         f"not {instances}")
+    done = [m for m in measured if m is not None]
+    k_needed, shrink_ratios, peel_errors, probes = (
+        [m[i] for m in done] for i in range(4))
     return {
         "instances": instances,
-        "failures": failures,
+        "failures": len(measured) - len(done),
         "smallest_K_capturing_all": float(np.max(k_needed)) if k_needed else None,
         "median_K_needed": float(np.median(k_needed)) if k_needed else None,
         "min_shrink_ratio_h_over_h10": float(np.min(shrink_ratios)) if shrink_ratios else None,
         "max_peel_vs_dense_relative_error": float(np.max(peel_errors)) if peel_errors else None,
-        "max_resolvent_probe_ratio": probe_max,
+        "max_resolvent_probe_ratio": max([0.0, *probes]),
     }

@@ -273,7 +273,7 @@ def test_graded_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
     def planted_instance(*args, **kwargs):
         raise RuntimeError("planted")
 
-    # patched before run forks, so the worker's selftest calls it
+    # patched before run forks, so the worker's measure_instances calls it
     monkeypatch.setattr(graded, "random_instance", planted_instance)
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, stages=["graded-selftest"],
@@ -284,7 +284,7 @@ def test_graded_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
     assert record["status"] == "failed"
     assert record["message"] == \
         "graded-selftest: WorkerError: RuntimeError: planted"
-    assert "in selftest" in record["traceback"]
+    assert "in measure_instances" in record["traceback"]
     assert "in planted_instance" in record["traceback"]
     assert not (out / "graded_selftest.json").exists()
     assert multiprocessing.active_children() == []
