@@ -25,15 +25,18 @@ next to a preset, or the tilt ``a`` anywhere but on
 implicitly when a later stage needs its output.
 
 The graded self-test reads nothing from the landscape, so when it is
-among the stages ``run`` forks one worker process for it before the first
-stage; it runs ``graded.measure_instances`` on a second CPU beside the
-landscape stages and hands the per-instance measurements back when the
-graded-selftest stage comes up, which summarizes them with
-``graded.selftest`` in this process, then writes and checks the report.  The worker is a copy-on-write fork of the process as it is
-before any landscape work and shares most of its pages with it; it holds
-about 10 MB of its own on the 200-instance default (see README).
+among the stages ``run`` forks one worker for it (``forked.Forked``)
+before the first stage; it runs ``graded.measure_instances`` on a second
+CPU beside the landscape stages and hands the per-instance measurements
+back when the graded-selftest stage comes up, which summarizes them with
+``graded.selftest`` in this process, then writes and checks the report.
+The worker is a copy-on-write fork of the process as it is before any
+landscape work and shares most of its pages with it; it holds about
+10 MB of its own on the 200-instance default (see README).  It stays
+alive while the sde stage forks its shards through the same primitive.
 A run whose earlier stage fails stops the worker.  ``kramers-lab
-selftest`` runs the self-test in-process.
+selftest`` runs the self-test in-process; like ``run`` it refuses
+``--instances`` below 1 and a negative ``--seed`` with exit code 2.
 
 Every run writes run_manifest.json (config, versions, stage outcomes);
 data files are CSV with a fixed number format, so identical config + seed
@@ -45,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import json
 import math
 import sys
@@ -59,6 +61,7 @@ import numpy as np
 from . import expr as ex
 from .analysis import Analysis
 from .discretize import Grid
+from .forked import Forked
 from .graded import measure_instances
 from .graded import selftest as graded_selftest
 from .landscape import Landscape, PRESETS, make_preset, validate_stationarity
@@ -72,7 +75,7 @@ from .quasimode import (
     predicted_norm_sq,
 )
 from .saddle import predict_spectrum
-from .sde import _START_METHOD, hitting_time_stats, make_config
+from .sde import hitting_time_stats, make_config
 
 STAGES = ("analyze", "spectrum", "quasimode", "sde", "graded-selftest")
 _NEEDS_LANDSCAPE = ("analyze", "spectrum", "quasimode", "sde")
@@ -283,82 +286,13 @@ class StageFailure(RuntimeError):
     pass
 
 
-class WorkerError(RuntimeError):
-    """A worker process failed; the cause carries its traceback."""
-
-
-class _RemoteTraceback(Exception):
-    def __str__(self):
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _send_result(conn, fn, args) -> None:
-    """Worker body: send ``(fn(*args), None)`` or ``(None, traceback)``."""
-    try:
-        result = (fn(*args), None)
-    except Exception:
-        result = (None, traceback.format_exc())
-    conn.send(result)
-    conn.close()
-
-
-class _Worker:
-    """``fn(*args)`` in a forked process that runs beside this one.
-
-    A plain Process and a one-way Pipe rather than an executor, whose
-    manager thread would live in this process: the sde stage forks its
-    pool later, and a fork with a live thread can deadlock the child.
-    ``gc.freeze()`` before the fork keeps both collectors off the objects
-    the two processes share, so fewer copy-on-write pages get duplicated;
-    ``close`` unfreezes them once the worker is reaped.
-    """
-
-    def __init__(self, fn, *args):
-        # imported here: runs without a graded stage need none of it
-        import multiprocessing
-
-        context = multiprocessing.get_context(_START_METHOD)
-        self._conn, child_end = context.Pipe(duplex=False)
-        self._proc = context.Process(target=_send_result,
-                                     args=(child_end, fn, args), daemon=True)
-        gc.freeze()
-        self._proc.start()
-        child_end.close()
-
-    def result(self):
-        """The worker's return value; its exception becomes WorkerError."""
-        try:
-            value, tb = self._conn.recv()
-        except EOFError:            # it died before sending
-            value = tb = None
-        self._proc.join()
-        code = self._proc.exitcode
-        self.close()
-        if tb is not None:
-            raise WorkerError(tb.rstrip().splitlines()[-1]) \
-                from _RemoteTraceback(tb)
-        if code != 0:
-            raise WorkerError(f"worker exited with code {code}")
-        return value
-
-    def close(self) -> None:
-        """Reap the worker, terminating it if it still runs."""
-        if self._proc is None:
-            return
-        self._proc.terminate()      # a no-op once it has been joined
-        self._proc.join()
-        self._conn.close()
-        self._proc = None
-        gc.unfreeze()
-
-
 @dataclass
 class _Context:
     """Work shared between stages for one pipeline run."""
 
     cfg: RunConfig
     analyses: dict = field(default_factory=dict)   # c -> Analysis
-    graded: _Worker | None = None                  # the graded self-test
+    graded: Forked | None = None                   # the graded self-test
 
     def analysis(self, c: float) -> Analysis:
         if c not in self.analyses:
@@ -595,8 +529,8 @@ def run(cfg: RunConfig) -> int:
     try:
         if "graded-selftest" in cfg.stages:
             # reads nothing from the landscape: start it now, on another CPU
-            ctx.graded = _Worker(measure_instances, cfg.graded_instances,
-                                 cfg.seed)
+            ctx.graded = Forked(measure_instances, cfg.graded_instances,
+                                cfg.seed)
         for name in cfg.stages:
             if failed:
                 stage_records.append({"stage": name, "status": "skipped",
@@ -675,6 +609,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "selftest":
+        # the bounds parse_config puts on graded.instances and seed
+        if args.instances < 1:
+            p_self.error("--instances needs at least one instance")
+        if args.seed < 0:
+            p_self.error("--seed must be non-negative")
         report = graded_selftest(instances=args.instances, seed=args.seed)
         print(json.dumps(report, indent=2))
         try:

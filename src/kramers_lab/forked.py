@@ -1,0 +1,103 @@
+"""Run a function in a child process beside this one and take its result.
+
+This is the one way the package starts a process.  The CLI forks the
+graded self-test with it, and ``sde.hitting_time_stats`` forks one child
+per shard, so the two kinds can be alive at once.
+
+Children are forked where the OS can: a fork starts in milliseconds and
+inherits its arguments, against about 1 s for spawn or forkserver, whose
+children import the parent's ``__main__`` (the CLI, and SciPy with it)
+again and are sent pickled arguments.  Each child is a plain Process with
+a one-way Pipe rather than an executor, whose manager thread would live
+in this process: a fork with a live thread can deadlock the child.
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+import traceback
+
+# children started and not yet reaped; gc stays frozen while any are
+_live = 0
+
+
+class WorkerError(RuntimeError):
+    """A child process failed; the cause carries its traceback."""
+
+
+class _RemoteTraceback(Exception):
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _send_result(conn, fn, args) -> None:
+    """Child body: send ``(fn(*args), None)`` or ``(None, traceback)``."""
+    try:
+        result = (fn(*args), None)
+    except Exception:
+        result = (None, traceback.format_exc())
+    conn.send(result)
+    conn.close()
+
+
+class Forked:
+    """``fn(*args)`` in a child process that runs beside this one.
+
+    ``gc.freeze()`` before the fork keeps both collectors off the objects
+    the two processes share, so fewer copy-on-write pages get duplicated;
+    the last ``close`` of the children alive at once unfreezes them.
+    """
+
+    def __init__(self, fn, *args):
+        global _live
+        # imported here: runs that fork nothing need none of it
+        import multiprocessing
+
+        context = multiprocessing.get_context(
+            "fork" if hasattr(os, "fork") else "spawn")
+        self._conn, child_end = context.Pipe(duplex=False)
+        self._proc = context.Process(target=_send_result,
+                                     args=(child_end, fn, args), daemon=True)
+        gc.freeze()
+        _live += 1
+        try:
+            self._proc.start()
+        except BaseException:
+            self._proc = None
+            self._release()
+            raise
+        finally:
+            child_end.close()
+
+    def result(self):
+        """The child's return value; its exception becomes WorkerError."""
+        try:
+            value, tb = self._conn.recv()
+        except EOFError:            # it died before sending
+            value = tb = None
+        self._proc.join()
+        code = self._proc.exitcode
+        self.close()
+        if tb is not None:
+            raise WorkerError(tb.rstrip().splitlines()[-1]) \
+                from _RemoteTraceback(tb)
+        if code != 0:
+            raise WorkerError(f"worker exited with code {code}")
+        return value
+
+    def close(self) -> None:
+        """Reap the child, terminating it if it still runs."""
+        if self._proc is None:
+            return
+        self._proc.terminate()      # a no-op once it has been joined
+        self._proc.join()
+        self._proc = None
+        self._release()
+
+    def _release(self) -> None:
+        global _live
+        self._conn.close()
+        _live -= 1
+        if _live == 0:
+            gc.unfreeze()

@@ -390,14 +390,14 @@ def _cluster_distances(report: ClusterReport) -> np.ndarray:
     return np.array(out)
 
 
-def _measure_instance(rng, p_max, r_max, tau_max, h_max):
+def _measure_instance(rng):
     """Draw one random instance and measure it for ``selftest``.
 
     Returns (K needed, shrink ratio h -> h/10, peeled vs dense relative
     error, largest resolvent probe ratio), or None when its clusters
     failed to localize.
     """
-    structure, E = random_instance(rng, p_max, r_max, tau_max, h_max)
+    structure, E = random_instance(rng)
     M = assemble_graded(structure, structure.h * E)
     try:
         report = localized_spectrum(M, structure)
@@ -432,17 +432,13 @@ def _measure_instance(rng, p_max, r_max, tau_max, h_max):
     return k_needed, shrink, err, probe
 
 
-def measure_instances(instances: int = 200, seed: int = 0, p_max: int = 4,
-                      r_max: int = 4, tau_max: float = 0.1,
-                      h_max: float = 0.01) -> list:
+def measure_instances(instances: int = 200, seed: int = 0) -> list:
     """The per-instance measurements ``selftest`` summarizes, in order."""
     rng = np.random.default_rng(seed)
-    return [_measure_instance(rng, p_max, r_max, tau_max, h_max)
-            for _ in range(instances)]
+    return [_measure_instance(rng) for _ in range(instances)]
 
 
-def selftest(instances: int = 200, seed: int = 0, p_max: int = 4,
-             r_max: int = 4, tau_max: float = 0.1, h_max: float = 0.01,
+def selftest(instances: int = 200, seed: int = 0,
              measured: list | None = None) -> dict:
     """Monte-Carlo verification of the localization theorem.
 
@@ -454,8 +450,7 @@ def selftest(instances: int = 200, seed: int = 0, p_max: int = 4,
     elsewhere (the CLI runs it in a worker process); None measures here.
     """
     if measured is None:
-        measured = measure_instances(instances, seed, p_max, r_max,
-                                     tau_max, h_max)
+        measured = measure_instances(instances, seed)
     if len(measured) != instances:
         raise ValueError(f"measured holds {len(measured)} instances, "
                          f"not {instances}")

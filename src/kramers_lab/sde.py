@@ -22,7 +22,8 @@ the hitting-time distribution affordable.
 
 The trials are split into interleaved shards (trial i in shard i mod W),
 one per usable CPU and at most one per trial, each stepped in its own
-worker process with its own batch and tail; W = 1 runs in-process.  A
+child process (``forked.Forked``, which hands it the drift table by
+fork inheritance) with its own batch and tail; W = 1 runs in-process.  A
 shard switches to the scalar tail at ceil(24 / W) trials in flight, so
 the tail work summed over shards matches a single batch's.  Since every
 trial has its own stream and both phases share one arithmetic, the
@@ -35,11 +36,11 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
+from .forked import Forked
 from .labelling import LabelledWell, WellMap
 from .landscape import Landscape
 
@@ -51,11 +52,6 @@ class SdeError(ValueError):
 _TABLE_N = 513
 _TABLE_ROWS = 32
 _TAIL_SWITCH = 24
-# Shards run in forked workers: a two-worker pool starts in 50-75 ms per
-# call, against about 1 s with spawn or forkserver, whose workers import
-# the parent's __main__ (the CLI, and SciPy with it) again.  The workers
-# run NumPy only, on the arrays they are handed.
-_START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
 
 
 def _drift_table(land: Landscape, h: float, n: int = _TABLE_N):
@@ -220,7 +216,7 @@ def _usable_cpus() -> int:
 
 
 class _Walk(NamedTuple):
-    """What a shard needs to step its trials; small enough to pickle."""
+    """What a shard needs to step its trials."""
 
     table: np.ndarray       # dt * U_h at the table nodes, (x/y, node)
     n: int
@@ -242,13 +238,15 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
     """First hitting times of the target ball over all trials.
 
     Trial i goes to shard i mod W, where W is the number of usable CPUs
-    capped at cfg.trials.  Each shard runs in its own worker process (in
-    this process when W = 1) and switches to the scalar tail once at most
-    ceil(_TAIL_SWITCH / W) of its trials are still in flight, so the tail
-    work summed over shards stays where one shard would put it.  Every
-    trial draws from its own stream, so taus and escapes do not depend on
-    W.  A trial that has not hit by the first chunk boundary past max_time
-    is unfinished; SdeError reports how many there are over all shards.
+    capped at cfg.trials.  Each shard runs in its own forked child (in
+    this process when W = 1); a shard that raises stops the others and
+    surfaces as forked.WorkerError with the child's traceback.  A shard
+    switches to the scalar tail once at most ceil(_TAIL_SWITCH / W) of
+    its trials are still in flight, so the tail work summed over shards
+    stays where one shard would put it.  Every trial draws from its own
+    stream, so taus and escapes do not depend on W.  A trial that has not
+    hit by the first chunk boundary past max_time is unfinished; SdeError
+    reports how many there are over all shards.
     """
     h, dt = cfg.h, cfg.dt
     axis, table = cfg._drift
@@ -274,15 +272,14 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
     if workers == 1:
         results = [_run_shard(walk, shards[0], switch)]
     else:
-        # imported here: every CLI run would pay ~20 ms for the pool
-        # machinery, with or without an sde stage
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context(_START_METHOD)
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            results = list(pool.map(_run_shard, repeat(walk), shards,
-                                    repeat(switch)))
+        forks = []
+        try:
+            for shard in shards:
+                forks.append(Forked(_run_shard, walk, shard, switch))
+            results = [fork.result() for fork in forks]
+        finally:
+            for fork in forks:
+                fork.close()
 
     taus = np.empty(cfg.trials)
     escapes = unfinished = 0

@@ -1,7 +1,7 @@
 """CLI pipeline tests: config validation, stage artifacts, determinism."""
 
-import concurrent.futures
 import csv
+import gc
 import json
 import multiprocessing
 import signal
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kramers_lab import analysis, cli, graded, sde
+from kramers_lab import analysis, cli, forked, graded, sde
 from kramers_lab.analysis import Analysis
 from kramers_lab.cli import ConfigError, main, parse_config
 from kramers_lab.landscape import make_preset
@@ -292,14 +292,14 @@ def test_graded_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
 
 def test_skipped_graded_stage_stops_its_worker(tmp_path, monkeypatch):
     workers = []
-    close = cli._Worker.close
+    close = forked.Forked.close
 
     def spy(self):
         if self._proc is not None:
             workers.append(self._proc)
         close(self)
 
-    monkeypatch.setattr(cli._Worker, "close", spy)
+    monkeypatch.setattr(forked.Forked, "close", spy)
     out = tmp_path / "out"
     # analyze fails within a second; 2000 instances take several
     cfg = _write_cfg(tmp_path,
@@ -318,15 +318,15 @@ def test_skipped_graded_stage_stops_its_worker(tmp_path, monkeypatch):
     assert not (out / "graded_selftest.json").exists()
 
 
-def test_sde_pool_forks_from_a_single_thread(tmp_path, monkeypatch):
+def test_every_fork_starts_from_a_single_thread(tmp_path, monkeypatch):
     threads = []
+    init = forked.Forked.__init__
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            threads.append(threading.active_count())
-            super().__init__(*args, **kwargs)
+    def spy(self, *args):
+        threads.append(threading.active_count())
+        init(self, *args)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(forked.Forked, "__init__", spy)
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
     cfg = _write_cfg(tmp_path,
                      landscape={"preset": "tilted_double_well"},
@@ -337,7 +337,9 @@ def test_sde_pool_forks_from_a_single_thread(tmp_path, monkeypatch):
                      graded={"instances": 200},
                      out=str(tmp_path / "out"))
     assert main(["run", str(cfg)]) == 0
-    assert threads == [1]
+    # the graded worker, then both sde shards before it is reaped
+    assert threads == [1, 1, 1]
+    assert gc.get_freeze_count() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +439,16 @@ def test_selftest_subcommand(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["instances"] == 5
     assert rep["failures"] == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--instances", "0"], "--instances needs at least one instance"),
+    (["--seed", "-1"], "--seed must be non-negative"),
+])
+def test_selftest_refuses_what_run_refuses(args, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selftest", *args])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err

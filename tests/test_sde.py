@@ -1,6 +1,7 @@
 """Path-simulation tests: hitting-time stats vs the spectral rate."""
 
 import dataclasses
+import gc
 import hashlib
 import multiprocessing
 
@@ -10,6 +11,7 @@ import pytest
 import kramers_lab.expr as ex
 import kramers_lab.sde as sde
 from kramers_lab.discretize import small_spectrum
+from kramers_lab.forked import WorkerError
 from kramers_lab.landscape import Landscape
 from kramers_lab.sde import (
     SdeError,
@@ -196,6 +198,23 @@ def test_max_time_cap_raises(tilted_c0, monkeypatch):
     with pytest.raises(SdeError, match=r"^4 of 4 trials .* max_time = 0\.05"):
         hitting_time_stats(cfg)
     assert multiprocessing.active_children() == []
+
+
+def test_failing_shard_raises_with_its_traceback(tilted_c0, monkeypatch):
+    def planted_draw(*args):
+        raise RuntimeError("planted")
+
+    # patched before the shards fork, so their _run_shard calls it
+    monkeypatch.setattr(sde, "_draw", planted_draw)
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=4)
+    with pytest.raises(WorkerError, match="^RuntimeError: planted$") as info:
+        hitting_time_stats(cfg)
+    cause = str(info.value.__cause__)
+    assert "in _run_shard" in cause
+    assert "in planted_draw" in cause
+    assert multiprocessing.active_children() == []
+    assert gc.get_freeze_count() == 0
 
 
 # ---------------------------------------------------------------------------
