@@ -32,12 +32,19 @@ class _RemoteTraceback(Exception):
 
 
 def _send_result(conn, fn, args) -> None:
-    """Child body: send ``(fn(*args), None)`` or ``(None, traceback)``."""
+    """Child body: send ``(fn(*args), None)`` or ``(None, traceback)``.
+
+    A result that cannot be pickled is sent as the traceback of that
+    error; ``send`` pickles before it writes, so nothing else was sent.
+    """
     try:
         result = (fn(*args), None)
     except Exception:
         result = (None, traceback.format_exc())
-    conn.send(result)
+    try:
+        conn.send(result)
+    except Exception:
+        conn.send((None, traceback.format_exc()))
     conn.close()
 
 

@@ -11,9 +11,11 @@ minimum m, to the boundary saddles j(m), to the saddle value sigma(m) and to
 the barrier S(m) = sigma(m) - V(m).
 
 Connectivity is computed on a uniform grid with face adjacency
-(`scipy.ndimage.label`); levels are only ever probed just below critical
-values, where the discrete topology is stable.  Components that contain no
-critical minimum (sub-grid shards along a level set) are ignored.
+(`label_components`: the connected components, found by
+`scipy.sparse.csgraph`, of the graph that joins neighbouring mask nodes);
+levels are only ever probed just below critical values, where the discrete
+topology is stable.  Components that contain no critical minimum (sub-grid
+shards along a level set) are ignored.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .landscape import CriticalPoint, Landscape
 
 __all__ = [
     "SublevelTopology", "SaddleSeparation", "LabelledWell", "WellMap",
     "GenericityReport", "LabellingError", "separating_saddles",
-    "label_minima", "check_generic", "flood_component",
+    "label_minima", "check_generic", "flood_component", "label_components",
 ]
 
 VALUE_TIE_TOL = 1e-10   # two critical values closer than this count as equal
@@ -40,15 +43,40 @@ class LabellingError(RuntimeError):
     pass
 
 
-def _cross(d: int) -> np.ndarray:
-    return ndimage.generate_binary_structure(d, 1)
+def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Face-adjacent components of a boolean array of one or more axes.
+
+    Returns ``(labels, n)`` with int32 labels, 0 off the mask and 1..n on
+    it, the components numbered in raster order of their first node.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    count = int(np.count_nonzero(mask))
+    index = np.full(mask.shape, -1, dtype=np.int32)
+    index[mask] = np.arange(count, dtype=np.int32)
+    # one edge per pair of mask nodes that are neighbours along an axis
+    heads, tails = [], []
+    for k in range(mask.ndim):
+        lo = (slice(None),) * k + (slice(None, -1),)
+        hi = (slice(None),) * k + (slice(1, None),)
+        both = mask[lo] & mask[hi]
+        heads.append(index[lo][both])
+        tails.append(index[hi][both])
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    graph = sp.csr_matrix((np.ones(heads.size), (heads, tails)),
+                          shape=(count, count))
+    # components come numbered in the order of their lowest node, and the
+    # nodes are numbered in raster order
+    n, comp = connected_components(graph, directed=False)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = comp + 1
+    return labels, n
 
 
 def flood_component(mask: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
     """Connected component (face adjacency) of ``mask`` containing ``seed``."""
     if not mask[seed]:
         raise LabellingError(f"seed node {seed} is not inside the mask")
-    labels, _ = ndimage.label(mask, structure=_cross(mask.ndim))
+    labels, _ = label_components(mask)
     return labels == labels[seed]
 
 
@@ -84,9 +112,7 @@ class SublevelTopology:
             labels = np.ones_like(self.values, dtype=np.int32)
             out = (labels, 1)
         else:
-            mask = self.values < level
-            labels, n = ndimage.label(mask, structure=_cross(self.values.ndim))
-            out = (labels, n)
+            out = label_components(self.values < level)
         self._labels_cache[level] = out
         return out
 
@@ -123,7 +149,7 @@ def _local_pockets(topo: SublevelTopology, s: CriticalPoint, level: float,
         for k in range(sub.ndim)
     )
     mask = (sub < level) & (dist2 <= r * r)
-    labels, n = ndimage.label(mask, structure=_cross(sub.ndim))
+    labels, n = label_components(mask)
     pockets = []
     for lab in range(1, n + 1):
         inside = labels == lab

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .discretize import Grid, OperatorMatrix
-from .labelling import LabelledWell, WellMap, flood_component
+from .labelling import (LabelledWell, WellMap, flood_component,
+                        label_components)
 from .landscape import CriticalPoint, Landscape
 from .saddle import SaddleSpectralData
 
@@ -175,10 +175,7 @@ def build_cutoffs(
         tube_union |= tb.mask
 
     split = e_lower & (V < sigma + 3.0 * delta0) & ~tube_union
-    labels, ncomp = ndimage.label(
-        split.reshape(grid.n, grid.n),
-        structure=ndimage.generate_binary_structure(2, 1),
-    )
+    labels, ncomp = label_components(split.reshape(grid.n, grid.n))
     labels = labels.ravel()
     lab_m = labels[grid.node_of(well.minimum.point)]
     lab_hat = labels[grid.node_of(well.hat_minimum.point)]

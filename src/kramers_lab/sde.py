@@ -260,10 +260,13 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
     n = len(axis)
     sub = cfg.substeps
     flat = (dt * table).reshape(n * n, 2)
+    # Python floats, not numpy scalars: the scalar tail does all its
+    # arithmetic with them, and numpy scalar math is slower per operation
     walk = _Walk(table=np.ascontiguousarray(flat.T), n=n, a0=float(axis[0]),
-                 inv=(n - 1) / (axis[-1] - axis[0]), L=cfg.land.halfwidth,
-                 centre=cfg.target_center.astype(float), r2=r2, dt=dt,
-                 sub=sub, scale=math.sqrt(2.0 * h * dt / sub),
+                 inv=float((n - 1) / (axis[-1] - axis[0])),
+                 L=float(cfg.land.halfwidth),
+                 centre=cfg.target_center.astype(float), r2=float(r2),
+                 dt=float(dt), sub=sub, scale=math.sqrt(2.0 * h * dt / sub),
                  max_steps=int(cfg.max_time / dt), chunk=chunk,
                  seed=cfg.seed, start=cfg.start.astype(float))
     workers = min(_usable_cpus(), cfg.trials)

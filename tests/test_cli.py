@@ -5,6 +5,8 @@ import gc
 import json
 import multiprocessing
 import signal
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -344,6 +346,24 @@ def test_every_fork_starts_from_a_single_thread(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Failure modes and determinism
+
+def test_analysis_stages_do_not_import_ndimage(tmp_path):
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     c=[0.0], h=[0.25], grid={"n": 64},
+                     out=str(tmp_path / "out"))
+    script = (
+        "import sys\n"
+        "from kramers_lab.cli import main\n"
+        f"assert main(['run', {str(cfg)!r}, "
+        "'--stages', 'analyze,quasimode']) == 0\n"
+        "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "quasimode_report.csv").exists()
+
 
 def test_planted_nonstationary_drift_fails_analyze(tmp_path, capsys):
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from kramers_lab import expr as ex
 from kramers_lab.landscape import Landscape, find_critical_points, make_preset
@@ -14,6 +15,7 @@ from kramers_lab.labelling import (
     SublevelTopology,
     check_generic,
     flood_component,
+    label_components,
     label_minima,
     separating_saddles,
 )
@@ -191,6 +193,38 @@ def test_grid_refinement_stability():
             for w in sorted(wm.wells, key=lambda w: w.round_index)
         ])
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# label_components against scipy.ndimage.label with face adjacency
+
+def _assert_labels_like_ndimage(mask):
+    labels, n = label_components(mask)
+    ref, n_ref = ndimage.label(
+        mask, structure=ndimage.generate_binary_structure(mask.ndim, 1))
+    assert n == n_ref
+    assert labels.dtype == ref.dtype == np.int32
+    assert np.array_equal(labels, ref)
+
+
+@pytest.mark.parametrize("shape", [(97,), (41, 37), (13, 11, 9)])
+@pytest.mark.parametrize("fill", [0.3, 0.5, 0.6, 0.8])
+def test_label_components_match_ndimage_on_random_masks(shape, fill):
+    rng = np.random.default_rng([len(shape), int(10 * fill)])
+    for _ in range(10):
+        _assert_labels_like_ndimage(rng.random(shape) < fill)
+
+
+@pytest.mark.parametrize("mask", [
+    np.zeros((6, 5), dtype=bool),
+    np.ones((6, 5), dtype=bool),
+    np.eye(1, 30, 17, dtype=bool).reshape(6, 5),
+    np.ones((1, 1), dtype=bool),
+    np.ones(1, dtype=bool),
+    np.ones((3, 1, 4), dtype=bool),
+], ids=["empty", "full", "one-node", "1x1", "length-1", "3x1x4"])
+def test_label_components_match_ndimage_on_edge_cases(mask):
+    _assert_labels_like_ndimage(mask)
 
 
 def test_flood_component_and_guards():

@@ -191,6 +191,35 @@ def test_shards_are_bit_identical(case, tilted_c0, monkeypatch):
     assert sharded.mean == whole.mean
 
 
+@pytest.mark.parametrize("case", ["reflecting-box", "golden"])
+def test_path_does_not_depend_on_the_phase_that_steps_it(case, tilted_c0,
+                                                        monkeypatch):
+    if case == "golden":
+        cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25, trials=120,
+                          seed=7)
+    else:
+        cfg = _reflecting_box()
+    walks = []
+    run_shard = sde._run_shard
+
+    def spy(walk, trials, switch):
+        walks.append(walk)
+        return run_shard(walk, trials, switch)
+
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(sde, "_run_shard", spy)
+    mixed = hitting_time_stats(cfg)
+    (walk,) = walks
+    trials = range(cfg.trials)
+    # switch 0: every trial stays in the batch; switch = all: every trial
+    # is stepped by the scalar tail from its first step
+    batch = run_shard(walk, trials, 0)
+    tail = run_shard(walk, trials, len(trials))
+    assert np.array_equal(batch[0], tail[0])
+    assert np.array_equal(batch[0], mixed.taus)
+    assert batch[1:] == tail[1:] == (mixed.escapes, 0)
+
+
 def test_max_time_cap_raises(tilted_c0, monkeypatch):
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=4,
