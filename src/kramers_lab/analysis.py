@@ -2,7 +2,7 @@
 
 critical points -> labelled wells (sigma(m), S(m), separating saddles) ->
 transverse saddle data behind zeta(m) -> discretized generator per
-(h, n, form) -> its small spectrum per (h, n).  Every link is computed once
+(h, n) -> its small spectrum per (h, n).  Every link is computed once
 and kept for the life of the object, so the CLI stages and the tests that
 share an ``Analysis`` never repeat a critical-point search, a labelling, an
 assembly or an eigensolve.
@@ -29,7 +29,7 @@ class Analysis:
 
     def __init__(self, land: Landscape):
         self.land = land
-        self._operators: dict = {}   # (h, n, which) -> OperatorMatrix
+        self._operators: dict = {}   # (h, n) -> OperatorMatrix
         self._spectra: dict = {}     # (h, n) -> SpectrumResult
 
     @cached_property
@@ -52,12 +52,12 @@ class Analysis:
         return min((w for w in self.wm.wells if not w.is_global),
                    key=lambda w: w.round_index)
 
-    def operator(self, h: float, n: int,
-                 which: str = "L-weighted") -> OperatorMatrix:
-        key = (h, n, which)
+    def operator(self, h: float, n: int) -> OperatorMatrix:
+        """The weighted generator ("L-weighted") on the n x n grid."""
+        key = (h, n)
         if key not in self._operators:
             grid = Grid(halfwidth=self.land.halfwidth, n=n)
-            self._operators[key] = assemble(self.land, h, grid, which,
+            self._operators[key] = assemble(self.land, h, grid, "L-weighted",
                                             criticals=self.criticals)
         return self._operators[key]
 

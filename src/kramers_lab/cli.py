@@ -127,6 +127,16 @@ def _numbers(value, where):
     return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
+def _expression(text, where):
+    """Check that ``text`` parses as an expression in x and y."""
+    _require(isinstance(text, str), where,
+             f"expected an expression string, got {text!r}")
+    try:
+        ex.parse(text, 2)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def _known_keys(obj, where, allowed):
     for key in obj:
         _require(key in allowed, f"{where}{key}",
@@ -192,10 +202,7 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
                      "missing potential expression")
             _require(land.get("dimension", 2) == 2, "landscape.dimension",
                      "only dimension 2 is supported")
-            try:
-                ex.parse(land["V"], 2)
-            except ValueError as e:
-                raise ConfigError(f"landscape.V: {e}") from e
+            _expression(land["V"], "landscape.V")
             for key in ("b", "nu"):
                 if key in land:
                     _require(isinstance(land[key], list)
@@ -203,11 +210,7 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
                              f"landscape.{key}",
                              "must be a list of 2 expressions")
                     for k, text in enumerate(land[key]):
-                        try:
-                            ex.parse(text, 2)
-                        except ValueError as e:
-                            raise ConfigError(
-                                f"landscape.{key}[{k}]: {e}") from e
+                        _expression(text, f"landscape.{key}[{k}]")
         _require("a" not in land
                  or land.get("preset") == "tilted_double_well",
                  "landscape.a",
@@ -242,7 +245,9 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
         "graded.instances", int)
     _require(instances >= 1, "graded.instances",
              "needs at least one instance")
-    out = Path(raw.get("out", "kramers_out"))
+    out = raw.get("out", "kramers_out")
+    _require(isinstance(out, str), "out",
+             f"expected a path string, got {out!r}")
     seed = _number(raw.get("seed", 0), "seed", int)
     _require(seed >= 0, "seed", "must be non-negative")
 
@@ -252,7 +257,7 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
         c=c,
         grid_n=grid_n,
         stages=stages,
-        out=out,
+        out=Path(out),
         seed=seed,
         sde_trials=trials,
         sde_radius=radius,
@@ -321,7 +326,7 @@ def _stage_analyze(ctx: _Context) -> list[str]:
     for c in cfg.c:
         ana = ctx.analysis(c)
         land = ana.land
-        station = validate_stationarity(land, tolerance=1e-10, seed=cfg.seed)
+        station = validate_stationarity(land, seed=cfg.seed)
         if not station.passed:
             raise StageFailure(
                 "analyze: drift field violates stationarity of exp(-V/h): "
@@ -455,6 +460,10 @@ def _stage_sde(ctx: _Context) -> list[str]:
     rows = []
     for c in cfg.c:
         ana = ctx.analysis(c)
+        if len(ana.wm.wells) == 1:
+            raise StageFailure(
+                f"sde: the landscape has a single well at c={_fmt(c)}; a "
+                "hitting time needs a non-global start well")
         for h in cfg.h:
             lam2 = float(ana.spectrum(h, cfg.grid_n).eigenvalues[1].real)
             sim = make_config(ana.land, ana.wm, h,

@@ -97,7 +97,6 @@ class OperatorMatrix:
     grid: Grid
     weights: np.ndarray          # m_h node weights: sum w_i dx^2 = 1
     V_nodes: np.ndarray
-    boundary: str = "dirichlet"
 
     @property
     def quadrature(self) -> float:
@@ -247,7 +246,7 @@ def _conjugate_to_flat(op: OperatorMatrix) -> sp.csr_matrix:
 
 
 def small_spectrum(op: OperatorMatrix, count: int = 6,
-                   threshold: float | None = None, tol: float = 1e-10,
+                   threshold: float | None = None,
                    vectors: bool = False) -> SpectrumResult:
     """Eigenvalues of smallest real part by shift-invert around zero.
 
@@ -259,7 +258,8 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
     The flat matrix is factored once (SuperLU, minimum-degree ordering on
     A^T + A) and ARPACK applies that factor as its shift-invert operator.
     An exactly singular matrix is factored at the shift -1e-8 instead.
-    The Krylov space holds max(2 count + 1, 20) vectors, capped at N - 1.
+    The Krylov space holds max(2 count + 1, 20) vectors, capped at N - 1,
+    and ARPACK converges to a relative tolerance of 1e-10.
 
     The metastable cluster is split from the rest at the largest jump in
     the sorted real parts when no explicit ``threshold`` is given; the
@@ -280,7 +280,7 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
                        permc_spec="MMD_AT_PLUS_A")
     # fixed start vector: ARPACK's internal seed is stateful across calls,
     # which would make repeated runs in one process differ in the last bits
-    out = spla.eigs(A, k=count, sigma=sigma, which="LM", tol=tol,
+    out = spla.eigs(A, k=count, sigma=sigma, which="LM", tol=1e-10,
                     ncv=min(N - 1, max(2 * count + 1, 20)),
                     maxiter=400 * count, v0=np.ones(N),
                     OPinv=spla.LinearOperator(A.shape, matvec=lu.solve,

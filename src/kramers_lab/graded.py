@@ -227,6 +227,10 @@ def spectrum_by_peeling(M, structure: GradedStructure, sweeps: int = 3) -> list:
 # ---------------------------------------------------------------------------
 # Cluster localization
 
+TAU0 = 0.1      # largest scale ratio tau_j of the localization regime
+H0 = 0.01       # largest perturbation size h of the regime
+
+
 @dataclass(frozen=True)
 class Cluster:
     block: int            # 1-based block index j
@@ -240,7 +244,6 @@ class Cluster:
 class ClusterReport:
     clusters: tuple
     eigenvalues: np.ndarray
-    K: float
     resolvent_probes: tuple   # (z, ||(M-z)^-1|| * dist(z, sigma(M))) pairs
 
     @property
@@ -264,28 +267,23 @@ def _block_eigengroups(block, tol) -> list:
     return [(complex(c), int(m)) for c, m in groups]
 
 
-def localized_spectrum(
-    M,
-    structure: GradedStructure,
-    K: float | None = None,
-    tau0: float = 0.1,
-    h0: float = 0.01,
-) -> ClusterReport:
+def localized_spectrum(M, structure: GradedStructure) -> ClusterReport:
     """Assign every eigenvalue of M to its cluster disc and verify counts.
 
-    Discs are D(eps_j^2 lambda, K eps_j^2 h) over distinct block eigenvalues
-    lambda; they must be pairwise disjoint, every dense eigenvalue must fall
-    in exactly one, and the count in each disc must equal the block
-    multiplicity.  Midpoints between neighbouring discs double as probe
-    points for the resolvent bound.
+    The structure must lie in the theorem's regime, every tau <= 0.1 and
+    h <= 0.01.  Discs are D(eps_j^2 lambda, K eps_j^2 h) over distinct
+    block eigenvalues lambda, with K = default_K(structure); they must be
+    pairwise disjoint, every dense eigenvalue must fall in exactly one,
+    and the count in each disc must equal the block multiplicity.
+    Midpoints between neighbouring discs double as probe points for the
+    resolvent bound.
     """
     M = np.asarray(M, dtype=float)
-    if any(t > tau0 for t in structure.tau):
-        raise GradedError(f"tau exceeds the localization regime tau0 = {tau0}")
-    if structure.h > h0:
-        raise GradedError(f"h = {structure.h} exceeds the regime h0 = {h0}")
-    if K is None:
-        K = default_K(structure)
+    if any(t > TAU0 for t in structure.tau):
+        raise GradedError(f"tau exceeds the localization regime tau0 = {TAU0}")
+    if structure.h > H0:
+        raise GradedError(f"h = {structure.h} exceeds the regime h0 = {H0}")
+    K = default_K(structure)
 
     eps2 = structure.epsilons ** 2
     clusters = []
@@ -301,7 +299,7 @@ def localized_spectrum(
             if gap <= clusters[a][2] + clusters[b][2]:
                 raise GradedError(
                     f"cluster discs at {clusters[a][1]:.6g} and "
-                    f"{clusters[b][1]:.6g} overlap; reduce K, tau or h"
+                    f"{clusters[b][1]:.6g} overlap; reduce tau or h"
                 )
 
     eigenvalues = np.linalg.eigvals(M)
@@ -335,7 +333,7 @@ def localized_spectrum(
 
     assert sum(c.count for c in report_clusters) == structure.size
     return ClusterReport(clusters=tuple(report_clusters),
-                         eigenvalues=eigenvalues, K=float(K),
+                         eigenvalues=eigenvalues,
                          resolvent_probes=tuple(probes))
 
 
@@ -345,10 +343,11 @@ def localized_spectrum(
 _PALETTE = np.array([-4.5, -1.5, 1.5, 4.5])
 
 
-def random_instance(rng, p_max: int = 4, r_max: int = 4,
-                    tau_max: float = 0.1, h_max: float = 0.01):
+def random_instance(rng, p_max: int = 4, r_max: int = 4):
     """Random (structure, unit perturbation) pair inside the theorem regime.
 
+    Scales tau are drawn from [0.05, TAU0] and h from [0.2 H0, H0], with
+    TAU0 = 0.1 and H0 = 0.01, the regime ``localized_spectrum`` accepts.
     Block spectra are drawn from a palette with gaps >= 3 so that the
     default-K discs stay disjoint; eigenvector bases are kept well
     conditioned; occasionally a 2x2 block gets a complex-conjugate pair.
@@ -373,8 +372,8 @@ def random_instance(rng, p_max: int = 4, r_max: int = 4,
             if np.linalg.cond(W) < 2.0:
                 break
         blocks.append(W @ np.diag(diag) @ np.linalg.inv(W))
-    tau = tuple(rng.uniform(0.05, tau_max) for _ in range(p - 1))
-    h = float(rng.uniform(0.2 * h_max, h_max))
+    tau = tuple(rng.uniform(0.05, TAU0) for _ in range(p - 1))
+    h = float(rng.uniform(0.2 * H0, H0))
     structure = GradedStructure(blocks=tuple(blocks), tau=tau, h=h)
     E = rng.normal(size=(structure.size, structure.size))
     E /= np.linalg.norm(E, 2)

@@ -224,7 +224,6 @@ class LabelledWell:
     saddle_sides: tuple[tuple[CriticalPoint, np.ndarray, np.ndarray], ...]
     level: float                 # grid level realizing E(m); +inf for round 1
     prev_sigma: float            # sigma_{i-1} (+inf for rounds 1 and 2)
-    prev_level: float            # grid level realizing {V < sigma_{i-1}}
     hat_minimum: CriticalPoint | None
 
     @property
@@ -241,12 +240,6 @@ class WellMap:
     @property
     def global_well(self) -> LabelledWell:
         return next(w for w in self.wells if w.is_global)
-
-    def well_for(self, minimum: CriticalPoint) -> LabelledWell:
-        for w in self.wells:
-            if np.array_equal(w.minimum.point, minimum.point):
-                return w
-        raise KeyError(f"no labelled well for minimum at {minimum.point}")
 
     def E_mask(self, well: LabelledWell) -> np.ndarray:
         """Grid mask of E(m) on the labelling grid."""
@@ -267,13 +260,12 @@ def _deepest(minima: list[CriticalPoint]) -> CriticalPoint:
 def label_minima(
     criticals: list[CriticalPoint],
     topo: SublevelTopology,
-    ball_steps: int = 3,
 ) -> WellMap:
     """Run the labelling recursion over decreasing separating saddle values."""
     minima = [c for c in criticals if c.is_minimum]
     if not minima:
         raise LabellingError("no minima to label")
-    seps = separating_saddles(criticals, topo, ball_steps=ball_steps)
+    seps = separating_saddles(criticals, topo)
     separating = [s for s in seps if s.separating]
 
     # Distinct saddle values, descending; saddles tied within tolerance share
@@ -293,11 +285,11 @@ def label_minima(
     wells.append(LabelledWell(
         minimum=m0, round_index=1, sigma=math.inf, barrier=math.inf,
         saddles=(), saddle_sides=(), level=math.inf, prev_sigma=math.inf,
-        prev_level=math.inf, hat_minimum=None,
+        hat_minimum=None,
     ))
     labelled.append(m0)
 
-    prev_sigma, prev_level = math.inf, math.inf
+    prev_sigma = math.inf
     for i, group in enumerate(rounds, start=2):
         sigma = group[0].saddle.value
         level = min(sep.level for sep in group)
@@ -347,11 +339,11 @@ def label_minima(
                 barrier=sigma - m.value,
                 saddles=tuple(sep.saddle for sep in adjacent),
                 saddle_sides=tuple(sides),
-                level=level, prev_sigma=prev_sigma, prev_level=prev_level,
+                level=level, prev_sigma=prev_sigma,
                 hat_minimum=hat,
             ))
             labelled.append(m)
-        prev_sigma, prev_level = sigma, level
+        prev_sigma = sigma
 
     if len(labelled) != len(minima):
         missing = [m.point for m in minima if not any(m is x for x in labelled)]

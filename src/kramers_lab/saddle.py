@@ -17,7 +17,7 @@ zeta(m) * exp(-S(m)/h).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -211,7 +211,6 @@ class EkPrediction:
     zeta: float                # prefactor; 0 for the global minimum
     lam: float                 # zeta * exp(-S/h)
     h: float
-    error_order: str = field(default="O(sqrt(h))", repr=False)
 
 
 def prefactor(

@@ -54,17 +54,17 @@ _TABLE_ROWS = 32
 _TAIL_SWITCH = 24
 
 
-def _drift_table(land: Landscape, h: float, n: int = _TABLE_N):
+def _drift_table(land: Landscape, h: float):
     L = land.halfwidth
-    axis = np.linspace(-L, L, n)
-    U = np.empty((n, n, 2))
-    # a block of rows at a time: the expression temporaries for all n^2
+    axis = np.linspace(-L, L, _TABLE_N)
+    U = np.empty((_TABLE_N, _TABLE_N, 2))
+    # a block of rows at a time: the expression temporaries for all table
     # nodes at once would set the process's peak memory
-    for i in range(0, n, _TABLE_ROWS):
+    for i in range(0, _TABLE_N, _TABLE_ROWS):
         xx, yy = np.meshgrid(axis[i:i + _TABLE_ROWS], axis, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        U[i:i + _TABLE_ROWS] = (land.grad_V_at(pts)
-                                + land.b_h_at(pts, h)).reshape(-1, n, 2)
+        U[i:i + _TABLE_ROWS] = (land.grad_V_at(pts) + land.b_h_at(pts, h)
+                                ).reshape(-1, _TABLE_N, 2)
     return axis, U
 
 

@@ -2,14 +2,15 @@
 
 Building the well map and assembling 192-squared operators is the dominant
 cost of the suite, so each preset's ``Analysis`` (critical points, well
-map, saddle data, operators per (h, n, form)) is built once per session and
-shared between the module tests and the acceptance suite.
+map, saddle data, weighted operators and spectra per (h, n)) is built once
+per session and shared between the module tests and the acceptance suite.
 """
 
 import pytest
 
+from kramers_lab import expr as ex
 from kramers_lab.analysis import Analysis
-from kramers_lab.landscape import make_preset
+from kramers_lab.landscape import Landscape, make_preset
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +31,24 @@ def triple():
 @pytest.fixture(scope="session")
 def sym_double():
     return Analysis(make_preset("sym_double_well"))
+
+
+@pytest.fixture(scope="session")
+def tilted_nu():
+    """The tilted double well with an admissible nu != 0 drift.
+
+    b = a J0 grad V and nu = -J0 grad a with a = 1 + x/2, so that
+    b . grad V = 0, div nu = 0 and div b = grad a . J0 grad V = nu . grad V.
+    """
+    return Analysis(Landscape(
+        dimension=2,
+        V=ex.parse("(x^2 - 1)^2 + 0.5*x + y^2", 2),
+        b=(ex.parse("(1 + x/2)*2*y", 2),
+           ex.parse("-(1 + x/2)*(4*x^3 - 4*x + 0.5)", 2)),
+        nu=(ex.parse("0", 2), ex.parse("0.5", 2)),
+        halfwidth=2.0,
+        name="tilted_nu",
+    ))
 
 
 @pytest.fixture(scope="session")

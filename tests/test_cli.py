@@ -131,6 +131,13 @@ def test_schema_rejections(tmp_path):
          r"landscape\.a: the tilt applies to the tilted_double_well preset"),
         ({"landscape": {"preset": "sym_double_well", "a": 0.3}},
          r"landscape\.a: the tilt applies"),
+        ({"landscape": {"dimension": 2, "V": 5}},
+         r"landscape\.V: expected an expression string, got 5"),
+        ({"landscape": {"dimension": 2, "V": "x^2 + y^2", "b": [1, 2]}},
+         r"landscape\.b\[0\]: expected an expression string, got 1"),
+        ({"landscape": {"dimension": 2, "V": "x^2 + y^2", "nu": ["0", 2]}},
+         r"landscape\.nu\[1\]: expected an expression string, got 2"),
+        ({"out": 5}, "out: expected a path string, got 5"),
     ]:
         with pytest.raises(ConfigError, match=where):
             parse_config(_write_cfg(tmp_path, **{**base, **override}))
@@ -239,6 +246,23 @@ def test_sde_stage_report(tmp_path, monkeypatch):
     assert header == ["h", "c", "mean_tau", "stderr", "inv_lambda2", "ratio"]
     assert len(rows) == 1
     assert 0.5 <= float(rows[0][5]) <= 2.0
+
+
+def test_sde_stage_needs_a_start_well(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path,
+                     landscape={"dimension": 2, "V": "x^2 + y^2", "box": 2},
+                     h=[0.2],
+                     stages=["analyze", "sde"],
+                     grid={"n": 64},
+                     out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    man = json.loads((out / "run_manifest.json").read_text())
+    analyze, sde_stage = man["stages"]
+    assert analyze["status"] == "passed"
+    assert sde_stage["status"] == "failed"
+    assert "needs a non-global start well" in sde_stage["message"]
+    assert "traceback" not in sde_stage
 
 
 def test_graded_stage_writes_json(tmp_path):

@@ -1,5 +1,7 @@
 """Finite-difference operator tests: assembly structure, spectra, decay."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from kramers_lab.discretize import (
     semigroup_decay,
     small_spectrum,
 )
+from kramers_lab.saddle import predict_spectrum
 
 
 def _flat_landscape(text, halfwidth, b=None):
@@ -166,6 +169,19 @@ def test_metastable_counting_matches_wells(name, n, expected_n0):
     cluster = np.sort(s.eigenvalues.real)[:expected_n0]
     assert cluster.max() < 0.1
     assert s.gap_witness > 1.0
+
+
+def test_nu_drift_spectrum_matches_prediction(tilted_nu):
+    """The h nu term of the drift in assembly: two wells, rate gate met."""
+    h = 0.2
+    s = tilted_nu.spectrum(h, 96)
+    assert s.n0_observed == 2
+    # constants stay in the kernel up to the O(dx^2) defect (|lambda_0| /
+    # lambda_1 is 1e-4 here); losing either nu term takes it above 0.1
+    assert abs(s.eigenvalues[0]) <= 1e-3 * s.eigenvalues[1].real
+    ek = max(p.lam for p in predict_spectrum(tilted_nu.land, tilted_nu.wm, h,
+                                             tilted_nu.data))
+    assert abs(s.eigenvalues[1].real / ek - 1.0) <= 3.0 * math.sqrt(h)
 
 
 def test_explicit_threshold_overrides_calibration():

@@ -104,8 +104,22 @@ def test_no_critical_points_in_box_raises():
 @pytest.mark.parametrize("name", ["sym_double_well", "tilted_double_well", "triple_well"])
 @pytest.mark.parametrize("c", [0.0, 1.0, 2.0])
 def test_stationarity_passes_on_presets(name, c):
-    report = validate_stationarity(make_preset(name, c=c), tolerance=1e-10)
+    report = validate_stationarity(make_preset(name, c=c))
     assert report.passed, report
+
+
+def test_stationarity_with_nu_drift(tilted_nu):
+    land = tilted_nu.land
+    assert validate_stationarity(land).passed
+    zero = ex.constant(0.0)
+    dropped = Landscape(dimension=2, V=land.V, b=land.b, nu=(zero, zero),
+                        halfwidth=land.halfwidth)
+    report = validate_stationarity(dropped)
+    assert not report.passed
+    assert report.max_b_dot_grad_V <= 1e-10
+    assert report.max_div_nu == 0.0
+    # without nu, div b - nu . grad V = y: its maximum is near the box edge
+    assert 1.9 < report.max_div_b_mismatch <= 2.0
 
 
 def test_stationarity_fails_on_planted_gradient_field():
@@ -118,7 +132,7 @@ def test_stationarity_fails_on_planted_gradient_field():
         nu=(ex.constant(0.0), ex.constant(0.0)),
         halfwidth=land.halfwidth,
     )
-    report = validate_stationarity(bad, tolerance=1e-10)
+    report = validate_stationarity(bad)
     assert not report.passed
     assert report.max_b_dot_grad_V > 1.0
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from kramers_lab.discretize import Grid
+from kramers_lab.discretize import Grid, assemble
 from kramers_lab.quasimode import (
     CutoffGeometry,
     GeometryError,
@@ -324,8 +324,11 @@ def test_nonreversible_dirichlet_uses_transverse_rate(tilted_geom_c1,
 
 def test_forms_reject_mismatched_operator(tilted_geom, tilted_c0):
     qm = build_quasimode(tilted_c0.shallow_well, tilted_geom, 0.1)
+    grid = Grid(halfwidth=tilted_c0.land.halfwidth, n=N)
+    flat = assemble(tilted_c0.land, 0.1, grid, "P-flat",
+                    criticals=tilted_c0.criticals)
     with pytest.raises(QuasimodeError, match="L-weighted"):
-        dirichlet_and_residuals(qm, tilted_c0.operator(0.1, N, which="P-flat"))
+        dirichlet_and_residuals(qm, flat)
     with pytest.raises(QuasimodeError, match="match"):
         dirichlet_and_residuals(qm, tilted_c0.operator(0.2, N))
     with pytest.raises(QuasimodeError, match="match"):
