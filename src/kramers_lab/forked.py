@@ -1,8 +1,10 @@
 """Run a function in a child process beside this one and take its result.
 
 This is the one way the package starts a process.  The CLI forks the
-graded self-test with it, and ``sde.hitting_time_stats`` forks one child
-per shard, so the two kinds can be alive at once.
+graded self-test with it, ``analysis.solve_spectra`` forks one child per
+small-spectrum solve and ``sde.hitting_time_stats`` one per shard, the
+last two at most ``usable_cpus()`` at a time; the graded worker can be
+alive beside either kind.
 
 Children are forked where the OS can: a fork starts in milliseconds and
 inherits its arguments, against about 1 s for spawn or forkserver, whose
@@ -20,6 +22,13 @@ import traceback
 
 # children started and not yet reaped; gc stays frozen while any are
 _live = 0
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class WorkerError(RuntimeError):

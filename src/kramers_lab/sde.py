@@ -33,14 +33,13 @@ results are bit-identical for any W.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .forked import Forked
+from . import forked
 from .labelling import LabelledWell, WellMap
 from .landscape import Landscape
 
@@ -208,13 +207,6 @@ class HittingStats:
     taus: np.ndarray = field(repr=False)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _Walk(NamedTuple):
     """What a shard needs to step its trials."""
 
@@ -269,7 +261,7 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
                  dt=float(dt), sub=sub, scale=math.sqrt(2.0 * h * dt / sub),
                  max_steps=int(cfg.max_time / dt), chunk=chunk,
                  seed=cfg.seed, start=cfg.start.astype(float))
-    workers = min(_usable_cpus(), cfg.trials)
+    workers = min(forked.usable_cpus(), cfg.trials)
     shards = [range(w, cfg.trials, workers) for w in range(workers)]
     switch = -(-_TAIL_SWITCH // workers)
     if workers == 1:
@@ -278,7 +270,7 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
         forks = []
         try:
             for shard in shards:
-                forks.append(Forked(_run_shard, walk, shard, switch))
+                forks.append(forked.Forked(_run_shard, walk, shard, switch))
             results = [fork.result() for fork in forks]
         finally:
             for fork in forks:

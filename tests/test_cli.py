@@ -8,12 +8,14 @@ import signal
 import subprocess
 import sys
 import threading
+import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kramers_lab import analysis, cli, forked, graded, sde
+from kramers_lab import analysis, cli, forked, graded
 from kramers_lab.analysis import Analysis
 from kramers_lab.cli import ConfigError, main, parse_config
 from kramers_lab.landscape import make_preset
@@ -218,17 +220,19 @@ def test_manifest_records_stages_and_versions(tilted_run):
 
 
 def test_sde_stage_report(tmp_path, monkeypatch):
-    calls = {"assemble": 0, "small_spectrum": 0}
+    # one line per call, appended to a file: the solve runs in a child
+    log = tmp_path / "calls.log"
 
     def counted(name):
         fn = getattr(analysis, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with open(log, "a") as f:
+                f.write(name + "\n")
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in ("assemble", "small_spectrum"):
         monkeypatch.setattr(analysis, name, counted(name))
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path,
@@ -240,7 +244,8 @@ def test_sde_stage_report(tmp_path, monkeypatch):
                      out=str(out))
     assert main(["run", str(cfg)]) == 0
     # the spectrum and sde stages share one assembly and one solve
-    assert calls == {"assemble": 1, "small_spectrum": 1}
+    calls = Counter(log.read_text().split())
+    assert dict(calls) == {"assemble": 1, "small_spectrum": 1}
     assert (out / "spectrum_sweep.csv").exists()
     header, rows = _read_csv(out / "sde_report.csv")
     assert header == ["h", "c", "mean_tau", "stderr", "inv_lambda2", "ratio"]
@@ -344,6 +349,47 @@ def test_skipped_graded_stage_stops_its_worker(tmp_path, monkeypatch):
     assert not (out / "graded_selftest.json").exists()
 
 
+def test_failed_solve_fails_the_spectrum_stage(tmp_path, monkeypatch):
+    def planted_solve(op, count):
+        if op.h == 0.2:
+            raise RuntimeError("planted")
+        time.sleep(60)      # stopped when the other solve fails
+
+    children = []
+    close = forked.Forked.close
+
+    def spy(self):
+        if self._proc is not None:
+            children.append(self._proc)
+        close(self)
+
+    # patched before the solves fork, so the children call it
+    monkeypatch.setattr(analysis, "small_spectrum", planted_solve)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked.Forked, "close", spy)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     h=[0.2, 0.25],
+                     stages=["spectrum", "quasimode"],
+                     grid={"n": 64},
+                     out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    man = json.loads((out / "run_manifest.json").read_text())
+    analyze, spectrum, quasimode = man["stages"]
+    assert (analyze["status"], spectrum["status"], quasimode["status"]) == \
+        ("passed", "failed", "skipped")
+    assert spectrum["message"] == \
+        "spectrum: WorkerError: RuntimeError: planted"
+    assert "in _send_result" in spectrum["traceback"]
+    assert "in planted_solve" in spectrum["traceback"]
+    # the failed child exited by itself, the sleeping one was stopped
+    assert [c.exitcode for c in children] == [0, -signal.SIGTERM]
+    assert multiprocessing.active_children() == []
+    assert gc.get_freeze_count() == 0
+    assert not (out / "spectrum_sweep.csv").exists()
+
+
 def test_every_fork_starts_from_a_single_thread(tmp_path, monkeypatch):
     threads = []
     init = forked.Forked.__init__
@@ -353,7 +399,7 @@ def test_every_fork_starts_from_a_single_thread(tmp_path, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(forked.Forked, "__init__", spy)
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
     cfg = _write_cfg(tmp_path,
                      landscape={"preset": "tilted_double_well"},
                      h=[0.25],
@@ -363,8 +409,9 @@ def test_every_fork_starts_from_a_single_thread(tmp_path, monkeypatch):
                      graded={"instances": 200},
                      out=str(tmp_path / "out"))
     assert main(["run", str(cfg)]) == 0
-    # the graded worker, then both sde shards before it is reaped
-    assert threads == [1, 1, 1]
+    # the graded worker, then the one solve child and both sde shards
+    # before it is reaped
+    assert threads == [1, 1, 1, 1]
     assert gc.get_freeze_count() == 0
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import kramers_lab.expr as ex
+import kramers_lab.forked as forked
 import kramers_lab.sde as sde
 from kramers_lab.discretize import small_spectrum
 from kramers_lab.forked import WorkerError
@@ -179,11 +180,11 @@ def test_shards_are_bit_identical(case, tilted_c0, monkeypatch):
                           seed=7)
     else:
         cfg = _reflecting_box()
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
     whole = hitting_time_stats(cfg)
     # three shards: uneven sizes for 40 trials, and more workers than the
     # two CPUs of a small host
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 3)
     sharded = hitting_time_stats(cfg)
     assert multiprocessing.active_children() == []
     assert np.array_equal(sharded.taus, whole.taus)
@@ -206,7 +207,7 @@ def test_path_does_not_depend_on_the_phase_that_steps_it(case, tilted_c0,
         walks.append(walk)
         return run_shard(walk, trials, switch)
 
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
     monkeypatch.setattr(sde, "_run_shard", spy)
     mixed = hitting_time_stats(cfg)
     (walk,) = walks
@@ -221,7 +222,7 @@ def test_path_does_not_depend_on_the_phase_that_steps_it(case, tilted_c0,
 
 
 def test_max_time_cap_raises(tilted_c0, monkeypatch):
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=4,
                       max_time=0.05)
     with pytest.raises(SdeError, match=r"^4 of 4 trials .* max_time = 0\.05"):
@@ -235,7 +236,7 @@ def test_failing_shard_raises_with_its_traceback(tilted_c0, monkeypatch):
 
     # patched before the shards fork, so their _run_shard calls it
     monkeypatch.setattr(sde, "_draw", planted_draw)
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=4)
     with pytest.raises(WorkerError, match="^RuntimeError: planted$") as info:
         hitting_time_stats(cfg)
