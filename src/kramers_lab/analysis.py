@@ -87,10 +87,11 @@ def solve_spectra(requests) -> None:
     Each operator is assembled in this process, through
     ``Analysis.operator``, and each spectrum not yet cached is solved by
     ``small_spectrum`` in a forked child, at most ``forked.usable_cpus()``
-    at once, so this process never holds an LU factor.  The solver and its
-    arguments are those of ``Analysis.spectrum``, and so are the results.  A
-    child's error is raised as ``forked.WorkerError`` after the other
-    children are stopped.
+    at once, so this process never holds an LU factor.  The children do:
+    the machine's peak memory grows with ``usable_cpus()`` times one
+    factor.  The solver and its arguments are those of
+    ``Analysis.spectrum``, and so are the results.  A child's error is
+    raised as ``forked.WorkerError`` after the other children are stopped.
     """
     cpus = forked.usable_cpus()
     live = deque()      # (analysis, key, child), oldest first

@@ -33,13 +33,12 @@ back when the graded-selftest stage comes up, which summarizes them with
 The worker is a copy-on-write fork of the process as it is before any
 landscape work and shares most of its pages with it; it holds about
 10 MB of its own on the 200-instance default (see README).  It stays
-alive while the spectrum stage (or the sde stage, when it runs without
-it) forks one child per small-spectrum solve and the sde stage one per
-shard, both through the same primitive and at most one per usable CPU
-at a time.  A run whose earlier stage fails stops the worker.
-``kramers-lab selftest`` runs the self-test in-process; like ``run`` it
-refuses ``--instances`` below 1 and a negative ``--seed`` with exit
-code 2.
+alive while the spectrum stage forks one child per small-spectrum solve
+and the sde stage one per shard, both through the same primitive and at
+most one per usable CPU at a time.  A run whose earlier stage fails
+stops the worker.  ``kramers-lab selftest`` runs the self-test
+in-process; like ``run`` it refuses ``--instances`` below 1 and a
+negative ``--seed`` with exit code 2.
 
 Every run writes run_manifest.json (config, versions, stage outcomes);
 data files are CSV with a fixed number format, so identical config + seed
@@ -367,16 +366,10 @@ def _stage_analyze(ctx: _Context) -> list[str]:
     return ["ek_table.csv", "well_map.json"]
 
 
-def _solve_spectra(ctx: _Context) -> None:
-    """The small spectrum of every (h, c) cell, one forked child each."""
+def _stage_spectrum(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
     solve_spectra([(ctx.analysis(c), h, cfg.grid_n)
                    for c in cfg.c for h in cfg.h])
-
-
-def _stage_spectrum(ctx: _Context) -> list[str]:
-    cfg = ctx.cfg
-    _solve_spectra(ctx)
     rows = []
     for c in cfg.c:
         ana = ctx.analysis(c)
@@ -468,15 +461,13 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
 
 def _stage_sde(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
-    for c in cfg.c:
-        if len(ctx.analysis(c).wm.wells) == 1:
-            raise StageFailure(
-                f"sde: the landscape has a single well at c={_fmt(c)}; a "
-                "hitting time needs a non-global start well")
-    _solve_spectra(ctx)     # cached already when the spectrum stage ran
     rows = []
     for c in cfg.c:
         ana = ctx.analysis(c)
+        if len(ana.wm.wells) == 1:
+            raise StageFailure(
+                f"sde: the landscape has a single well at c={_fmt(c)}; a "
+                "hitting time needs a non-global start well")
         for h in cfg.h:
             lam2 = float(ana.spectrum(h, cfg.grid_n).eigenvalues[1].real)
             sim = make_config(ana.land, ana.wm, h,
