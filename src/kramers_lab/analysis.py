@@ -6,7 +6,7 @@ transverse saddle data behind zeta(m) -> discretized generator per
 and kept for the life of the object, so the CLI stages and the tests that
 share an ``Analysis`` never repeat a critical-point search, a labelling, an
 assembly or an eigensolve.  ``solve_spectra`` fills the spectrum caches of
-many analyses at once, one forked child per solve.
+many analyses at once, the solves fanned out by ``forked.starmap``.
 
 The package ``__init__`` does not import this module.  The benchmark's
 tracer (``perfbench/traced_cli.py``) wraps the library functions before it
@@ -16,7 +16,6 @@ ones, losing their spans and counts without an error.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 
 from . import forked
@@ -84,33 +83,13 @@ class Analysis:
 def solve_spectra(requests) -> None:
     """Cache ``Analysis.spectrum(h, n)`` for every ``(analysis, h, n)``.
 
-    Each operator is assembled in this process, through
-    ``Analysis.operator``, and each spectrum not yet cached is solved by
-    ``small_spectrum`` in a forked child, at most ``forked.usable_cpus()``
-    at once, so this process never holds an LU factor.  The children do:
-    the machine's peak memory grows with ``usable_cpus()`` times one
-    factor.  The solver and its arguments are those of
-    ``Analysis.spectrum``, and so are the results.  A child's error is
-    raised as ``forked.WorkerError`` after the other children are stopped.
+    The spectra not yet cached are solved through ``forked.starmap`` with
+    ``Analysis.spectrum``'s solver and arguments, so the results are the
+    same; the operators are assembled in this process.
     """
-    cpus = forked.usable_cpus()
-    live = deque()      # (analysis, key, child), oldest first
-
-    def collect():
-        ana, key, child = live[0]
-        ana._spectra[key] = child.result()
-        live.popleft()
-
-    try:
-        for ana, h, n in dict.fromkeys(requests):
-            if (h, n) in ana._spectra:
-                continue
-            args = ana._solve_args(h, n)
-            if len(live) == cpus:
-                collect()
-            live.append((ana, (h, n), forked.Forked(small_spectrum, *args)))
-        while live:
-            collect()
-    finally:
-        for *_, child in live:
-            child.close()
+    todo = [(ana, h, n) for ana, h, n in dict.fromkeys(requests)
+            if (h, n) not in ana._spectra]
+    spectra = forked.starmap(small_spectrum, (ana._solve_args(h, n)
+                                              for ana, h, n in todo))
+    for (ana, h, n), res in zip(todo, spectra):
+        ana._spectra[h, n] = res

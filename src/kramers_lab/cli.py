@@ -33,12 +33,11 @@ back when the graded-selftest stage comes up, which summarizes them with
 The worker is a copy-on-write fork of the process as it is before any
 landscape work and shares most of its pages with it; it holds about
 10 MB of its own on the 200-instance default (see README).  It stays
-alive while the spectrum stage forks one child per small-spectrum solve
-and the sde stage one per shard, both through the same primitive and at
-most one per usable CPU at a time.  A run whose earlier stage fails
-stops the worker.  ``kramers-lab selftest`` runs the self-test
-in-process; like ``run`` it refuses ``--instances`` below 1 and a
-negative ``--seed`` with exit code 2.
+alive while the spectrum stage fans out its small-spectrum solves and
+the sde stage its shards, both through ``forked.starmap``.  A run whose
+earlier stage fails stops the worker.  ``kramers-lab selftest`` runs the
+self-test in-process; like ``run`` it refuses ``--instances`` below 1
+and a negative ``--seed`` with exit code 2.
 
 Every run writes run_manifest.json (config, versions, stage outcomes);
 data files are CSV with a fixed number format, so identical config + seed
@@ -71,7 +70,6 @@ from .quasimode import (
     GeometryError,
     build_cutoffs,
     build_quasimode,
-    default_parameters,
     dirichlet_and_residuals,
     predicted_dirichlet,
     predicted_norm_sq,
@@ -126,7 +124,9 @@ def _number(value, where, kind=float):
 
 def _numbers(value, where):
     _require(isinstance(value, list), where, "must be a list of numbers")
-    return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(value))
+    numbers = tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(value))
+    _require(len(set(numbers)) == len(numbers), where, "repeats a value")
+    return numbers
 
 
 def _expression(text, where):
@@ -399,20 +399,6 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
     return ["spectrum_sweep.csv"]
 
 
-def _geometry_with_retry(well, wm, data, land, grid):
-    rho0, delta0 = default_parameters(well, wm)
-    for _ in range(4):
-        try:
-            return build_cutoffs(well, wm, data, land, grid,
-                                 rho0=rho0, delta0=delta0)
-        except GeometryError:
-            rho0 *= 0.5
-            delta0 *= 0.5
-    raise StageFailure(
-        f"quasimode: no admissible cutoff geometry for the well at "
-        f"{well.minimum.point} after 3 bisections")
-
-
 def _stage_quasimode(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
     rows, artifacts = [], []
@@ -423,7 +409,12 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
         for well in sorted(wm.wells, key=lambda w: w.round_index):
             if well.is_global:
                 continue
-            geom = _geometry_with_retry(well, wm, data, land, grid)
+            try:
+                geom = build_cutoffs(well, wm, data, land, grid)
+            except GeometryError as e:
+                raise StageFailure(
+                    "quasimode: no admissible cutoff geometry for the well "
+                    f"at {well.minimum.point} after 3 bisections: {e}") from e
             for h in cfg.h:
                 qm = build_quasimode(well, geom, h)
                 forms = dirichlet_and_residuals(

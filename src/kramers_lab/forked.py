@@ -1,10 +1,8 @@
 """Run a function in a child process beside this one and take its result.
 
 This is the one way the package starts a process.  The CLI forks the
-graded self-test with it, ``analysis.solve_spectra`` forks one child per
-small-spectrum solve and ``sde.hitting_time_stats`` one per shard, the
-last two at most ``usable_cpus()`` at a time; the graded worker can be
-alive beside either kind.
+graded self-test with ``Forked``; while it runs, the small-spectrum solves
+(``analysis.solve_spectra``) and the SDE shards fan out through ``starmap``.
 
 Children are forked where the OS can: a fork starts in milliseconds and
 inherits its arguments, against about 1 s for spawn or forkserver, whose
@@ -19,6 +17,7 @@ from __future__ import annotations
 import gc
 import os
 import traceback
+from collections import deque
 
 # children started and not yet reaped; gc stays frozen while any are
 _live = 0
@@ -117,3 +116,32 @@ class Forked:
         _live -= 1
         if _live == 0:
             gc.unfreeze()
+
+
+def starmap(fn, arglists) -> list:
+    """``fn(*args)`` for each item of ``arglists``, in input order.
+
+    With one usable CPU the calls run in this process.  Otherwise each runs
+    in a ``Forked`` child, at most ``usable_cpus()`` at once, so the
+    machine's peak memory grows with that many calls' own.  ``arglists`` is
+    read as a slot is about to free: a generator builds the next arguments
+    while the children run.  The first failed call raises ``WorkerError``
+    after the other children are stopped.
+    """
+    cpus = usable_cpus()
+    if cpus == 1:
+        return [fn(*args) for args in arglists]
+    results, live = [], deque()     # running children, oldest first
+    try:
+        for args in arglists:
+            if len(live) == cpus:
+                results.append(live[0].result())
+                live.popleft()
+            live.append(Forked(fn, *args))
+        while live:
+            results.append(live[0].result())
+            live.popleft()
+    finally:
+        for child in live:
+            child.close()
+    return results

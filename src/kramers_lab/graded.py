@@ -246,10 +246,6 @@ class ClusterReport:
     eigenvalues: np.ndarray
     resolvent_probes: tuple   # (z, ||(M-z)^-1|| * dist(z, sigma(M))) pairs
 
-    @property
-    def total_count(self) -> int:
-        return sum(c.count for c in self.clusters)
-
 
 def default_K(structure: GradedStructure) -> float:
     return 10.0 * (1.0 + max(np.linalg.norm(b, 2) for b in structure.blocks))

@@ -126,13 +126,28 @@ def build_cutoffs(
     rho0: float | None = None,
     delta0: float | None = None,
 ) -> CutoffGeometry:
-    """Tube and plateau node sets for the quasimode of a non-global well."""
+    """Tube and plateau node sets for the quasimode of a non-global well.
+
+    Give both rho0 and delta0, or neither: then both start from
+    ``default_parameters`` and are halved up to three times while the
+    sets do not split (GeometryError); the fourth try's error propagates.
+    """
     if well.is_global:
         raise ValueError("the global minimum needs no cutoff geometry")
-    if rho0 is None or delta0 is None:
-        r_def, d_def = default_parameters(well, wm)
-        rho0 = r_def if rho0 is None else rho0
-        delta0 = d_def if delta0 is None else delta0
+    if (rho0 is None) != (delta0 is None):
+        raise ValueError("give both rho0 and delta0, or neither")
+    if rho0 is None:
+        rho0, delta0 = default_parameters(well, wm)
+        for _ in range(3):
+            try:
+                return _cutoffs(well, data, land, grid, rho0, delta0)
+            except GeometryError:
+                rho0 *= 0.5
+                delta0 *= 0.5
+    return _cutoffs(well, data, land, grid, rho0, delta0)
+
+
+def _cutoffs(well, data, land, grid, rho0, delta0) -> CutoffGeometry:
     if rho0 <= 0 or delta0 <= 0:
         raise ValueError("rho0 and delta0 must be positive")
 

@@ -21,13 +21,12 @@ one by one in a scalar loop, which is what makes the exponential tail of
 the hitting-time distribution affordable.
 
 The trials are split into interleaved shards (trial i in shard i mod W),
-one per usable CPU and at most one per trial, each stepped in its own
-child process (``forked.Forked``, which hands it the drift table by
-fork inheritance) with its own batch and tail; W = 1 runs in-process.  A
-shard switches to the scalar tail at ceil(24 / W) trials in flight, so
-the tail work summed over shards matches a single batch's.  Since every
-trial has its own stream and both phases share one arithmetic, the
-results are bit-identical for any W.
+one per usable CPU and at most one per trial, each with its own batch
+and tail, run through ``forked.starmap`` (a forked shard inherits the
+drift table).  A shard switches to the scalar tail at ceil(24 / W) trials
+in flight, so the tail work summed over shards matches a single batch's.
+Since every trial has its own stream and both phases share one
+arithmetic, the results are bit-identical for any W.
 """
 
 from __future__ import annotations
@@ -230,9 +229,7 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
     """First hitting times of the target ball over all trials.
 
     Trial i goes to shard i mod W, where W is the number of usable CPUs
-    capped at cfg.trials.  Each shard runs in its own forked child (in
-    this process when W = 1); a shard that raises stops the others and
-    surfaces as forked.WorkerError with the child's traceback.  A shard
+    capped at cfg.trials; the shards run through forked.starmap.  A shard
     switches to the scalar tail once at most ceil(_TAIL_SWITCH / W) of
     its trials are still in flight, so the tail work summed over shards
     stays where one shard would put it.  Every trial draws from its own
@@ -264,17 +261,8 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
     workers = min(forked.usable_cpus(), cfg.trials)
     shards = [range(w, cfg.trials, workers) for w in range(workers)]
     switch = -(-_TAIL_SWITCH // workers)
-    if workers == 1:
-        results = [_run_shard(walk, shards[0], switch)]
-    else:
-        forks = []
-        try:
-            for shard in shards:
-                forks.append(forked.Forked(_run_shard, walk, shard, switch))
-            results = [fork.result() for fork in forks]
-        finally:
-            for fork in forks:
-                fork.close()
+    results = forked.starmap(_run_shard,
+                             ((walk, shard, switch) for shard in shards))
 
     taus = np.empty(cfg.trials)
     escapes = unfinished = 0

@@ -140,6 +140,8 @@ def test_schema_rejections(tmp_path):
         ({"landscape": {"dimension": 2, "V": "x^2 + y^2", "nu": ["0", 2]}},
          r"landscape\.nu\[1\]: expected an expression string, got 2"),
         ({"out": 5}, "out: expected a path string, got 5"),
+        ({"h": [0.2, 0.2]}, "h: repeats a value"),
+        ({"c": [0, 0]}, "c: repeats a value"),
     ]:
         with pytest.raises(ConfigError, match=where):
             parse_config(_write_cfg(tmp_path, **{**base, **override}))

@@ -1,11 +1,17 @@
-"""The one process primitive: results, and gc frozen while children live."""
+"""The one process primitive: results, gc frozen while children live, and
+the windowed fan-out built on it."""
 
 import gc
 import multiprocessing
 import threading
+import time
 
+import numpy as np
 import pytest
 
+from kramers_lab import forked
+from kramers_lab.analysis import Analysis, solve_spectra
+from kramers_lab.discretize import small_spectrum
 from kramers_lab.forked import Forked, WorkerError
 
 
@@ -28,3 +34,46 @@ def test_unpicklable_result_keeps_its_traceback():
     assert "TypeError: cannot pickle '_thread.lock' object" in cause
     assert multiprocessing.active_children() == []
     assert gc.get_freeze_count() == 0
+
+
+def _slower_first(i):
+    time.sleep(0.1 * (5 - i))     # later calls finish first
+    return i
+
+
+def test_starmap_returns_results_in_input_order(monkeypatch):
+    alive = []
+    init = Forked.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        alive.append(len(multiprocessing.active_children()))
+
+    monkeypatch.setattr(Forked, "__init__", spy)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    assert forked.starmap(_slower_first, ((i,) for i in range(5))) == \
+        [0, 1, 2, 3, 4]
+    assert len(alive) == 5
+    assert max(alive) == 2
+    assert multiprocessing.active_children() == []
+    assert gc.get_freeze_count() == 0
+
+
+def test_one_cpu_solves_in_this_process(tilted_c0, monkeypatch):
+    started = []
+    init = Forked.__init__
+
+    def spy(self, *args):
+        started.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Forked, "__init__", spy)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
+    ana = Analysis(tilted_c0.land)
+    hs = (0.2, 0.25)
+    solve_spectra([(ana, h, 64) for h in hs])
+    assert started == []
+    for h in hs:
+        direct = small_spectrum(*ana._solve_args(h, 64))
+        assert np.array_equal(ana._spectra[h, 64].eigenvalues,
+                              direct.eigenvalues)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from kramers_lab import quasimode
 from kramers_lab.discretize import Grid, assemble
 from kramers_lab.quasimode import (
     CutoffGeometry,
@@ -106,6 +107,31 @@ def test_absurd_rho0_swallows_a_well(tilted_c0):
     with pytest.raises(GeometryError, match="bisection"):
         build_cutoffs(tilted_c0.shallow_well, tilted_c0.wm, tilted_c0.data,
                       tilted_c0.land, grid, rho0=2.0, delta0=0.5)
+
+
+def test_default_geometry_halves_its_parameters_until_it_splits(
+        tilted_c0, monkeypatch):
+    grid = Grid(halfwidth=2.0, n=96)
+    args = (tilted_c0.shallow_well, tilted_c0.wm, tilted_c0.data,
+            tilted_c0.land, grid)
+    # from (2.0, 0.5) the third try, (0.5, 0.125), still fails, so the
+    # fourth is the first to split
+    with pytest.raises(GeometryError):
+        build_cutoffs(*args, rho0=0.5, delta0=0.125)
+    direct = build_cutoffs(*args, rho0=0.25, delta0=0.0625)
+    monkeypatch.setattr(quasimode, "default_parameters",
+                        lambda well, wm: (2.0, 0.5))
+    geom = build_cutoffs(*args)
+    assert (geom.rho0, geom.delta0) == (0.25, 0.0625)
+    assert np.array_equal(geom.e_plus, direct.e_plus)
+    assert np.array_equal(geom.e_minus, direct.e_minus)
+    # one step further up, the fourth try is (0.5, 0.125): its error is raised
+    monkeypatch.setattr(quasimode, "default_parameters",
+                        lambda well, wm: (4.0, 1.0))
+    with pytest.raises(GeometryError):
+        build_cutoffs(*args)
+    with pytest.raises(ValueError, match="both rho0 and delta0, or neither"):
+        build_cutoffs(*args, rho0=0.25)
 
 
 def test_misoriented_transverse_vector_rejected(tilted_c0):
