@@ -416,11 +416,10 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
                     "quasimode: no admissible cutoff geometry for the well "
                     f"at {well.minimum.point} after 3 bisections: {e}") from e
             for h in cfg.h:
-                qm = build_quasimode(well, geom, h)
-                forms = dirichlet_and_residuals(
-                    qm, ana.operator(h, cfg.grid_n))
+                qm = build_quasimode(well, geom, ana.operator(h, cfg.grid_n))
+                forms = dirichlet_and_residuals(qm)
                 norm_pred = predicted_norm_sq(well, wm, h)
-                _, dir_pred = predicted_dirichlet(well, wm, data, h)
+                dir_pred = predicted_dirichlet(well, wm, data, h)
                 norm_ratio = qm.norm**2 / norm_pred
                 rows.append([
                     c, h, well.round_index, qm.norm**2, norm_pred,

@@ -236,8 +236,7 @@ class Cluster:
     block: int            # 1-based block index j
     center: complex       # eps_j^2 * lambda
     radius: float         # K * eps_j^2 * h
-    expected: int         # multiplicity of lambda in M_j
-    count: int            # dense eigenvalues found inside
+    count: int            # dense eigenvalues found inside, = multiplicity
 
 
 @dataclass(frozen=True)
@@ -316,8 +315,7 @@ def localized_spectrum(M, structure: GradedStructure) -> ClusterReport:
                 f"expected multiplicity {expected}"
             )
         report_clusters.append(Cluster(block=j, center=complex(center),
-                                       radius=float(radius),
-                                       expected=expected, count=count))
+                                       radius=float(radius), count=count))
 
     probes = []
     order = sorted(report_clusters, key=lambda c: abs(c.center))

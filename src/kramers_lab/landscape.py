@@ -157,23 +157,6 @@ class Landscape:
                 B[i, j] = ex.evaluate_many(self.jac_b[i][j], pt)[0]
         return B
 
-    def scaled(self, c: float) -> "Landscape":
-        """Same potential with (b, nu) -> (c*b, c*nu).
-
-        The stationarity identities are linear in (b, nu), so any admissible
-        pair stays admissible under scaling; for the presets this realizes
-        b = c * J0 * grad V.
-        """
-        cc = ex.constant(float(c))
-        return Landscape(
-            dimension=self.dimension,
-            V=self.V,
-            b=tuple(cc * bi for bi in self.b),
-            nu=tuple(cc * ni for ni in self.nu),
-            halfwidth=self.halfwidth,
-            name=self.name,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Critical points

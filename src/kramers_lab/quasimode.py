@@ -12,6 +12,10 @@ rate at the saddle; theta is a smooth bump on V-levels that confines the
 support to {V < sigma(m) + 2 delta0} inside the enclosing component E_-(m).
 The global minimum gets psi = 1 (the exact kernel direction).
 
+A quasimode lives on the weighted generator ``op`` it is built on: its h,
+its norm in L^2(m_h) and all its forms come from that one operator, while
+its cutoff geometry depends on the grid alone and serves every h.
+
 All sets are realized as node masks on the operator grid via face-adjacency
 flood fills.  The profile integral is erf on the plateau |eta| <= rho0 and,
 across the glue band, one cumulative Gauss-Legendre sum per tube over the
@@ -27,8 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .discretize import Grid, OperatorMatrix
-from .labelling import (LabelledWell, WellMap, flood_component,
-                        label_components)
+from .labelling import (LabelledWell, WellMap, check_generic,
+                        flood_component, label_components)
 from .landscape import CriticalPoint, Landscape
 from .saddle import SaddleSpectralData
 
@@ -216,14 +220,13 @@ def _cutoffs(well, data, land, grid, rho0, delta0) -> CutoffGeometry:
 
 @dataclass(frozen=True)
 class Quasimode:
-    """Node values of psi in [0, 2] with its weighted norm; phi = psi/norm."""
+    """Node values of psi in [0, 2] on the weighted generator ``op`` whose
+    L^2(m_h) measures it; phi = psi/norm."""
 
     well: LabelledWell
-    h: float
+    op: OperatorMatrix
     values: np.ndarray
     norm: float                  # ||psi|| in L^2(m_h)
-    grid: Grid
-    V_nodes: np.ndarray
 
     @property
     def phi(self) -> np.ndarray:
@@ -232,12 +235,6 @@ class Quasimode:
     @property
     def support(self) -> np.ndarray:
         return self.values > 0.0
-
-
-def _weighted_norm(values, V, h, dx) -> float:
-    w = np.exp(-(V - V.min()) / h)
-    w /= w.sum() * dx * dx
-    return math.sqrt(float(np.sum(values * values * w) * dx * dx))
 
 
 # The profile quadrature: an 8-point Gauss-Legendre rule per panel, and at
@@ -289,13 +286,15 @@ def _profile_integral(ts, rho0, abs_mu, h):
 
 
 def build_quasimode(well: LabelledWell, geom: CutoffGeometry,
-                    h: float) -> Quasimode:
-    """psi = theta (kappa + 1) on the geometry's grid at parameter h."""
+                    op: OperatorMatrix) -> Quasimode:
+    """psi = theta (kappa + 1) on the geometry's grid at h = op.h."""
     if well is not geom.well:
         raise QuasimodeError("geometry was built for a different well")
-    if not 0.0 < h <= 1.0:
-        raise ValueError(f"h must lie in (0, 1], got {h}")
-    grid, V = geom.grid, geom.V_nodes
+    if op.which != "L-weighted":
+        raise QuasimodeError("quasimodes live on the L-weighted operator")
+    if op.grid != geom.grid:
+        raise QuasimodeError("operator grid does not match the geometry's")
+    grid, V, h = geom.grid, geom.V_nodes, op.h
     pts = grid.points()
     sigma, d0 = well.sigma, geom.delta0
 
@@ -315,21 +314,17 @@ def build_quasimode(well: LabelledWell, geom: CutoffGeometry,
     if psi.min() < -1e-12 or psi.max() > 2.0 + 1e-12:
         raise QuasimodeError("quasimode values escaped [0, 2]")
 
-    return Quasimode(well=well, h=h, values=psi,
-                     norm=_weighted_norm(psi, V, h, grid.spacing),
-                     grid=grid, V_nodes=V)
+    return Quasimode(well=well, op=op, values=psi, norm=op.norm(psi))
 
 
-def constant_quasimode(well: LabelledWell, grid: Grid, land: Landscape,
-                       h: float) -> Quasimode:
+def constant_quasimode(well: LabelledWell, op: OperatorMatrix) -> Quasimode:
     """psi = 1 for the global minimum: the exact kernel direction."""
     if not well.is_global:
         raise ValueError("constant quasimode is reserved for the global well")
-    V = land.V_at(grid.points())
-    ones = np.ones(grid.size)
-    return Quasimode(well=well, h=h, values=ones,
-                     norm=_weighted_norm(ones, V, h, grid.spacing),
-                     grid=grid, V_nodes=V)
+    if op.which != "L-weighted":
+        raise QuasimodeError("quasimodes live on the L-weighted operator")
+    ones = np.ones(op.grid.size)
+    return Quasimode(well=well, op=op, values=ones, norm=op.norm(ones))
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +338,8 @@ class QuadraticForms:
     adjoint_residual_sq: float   # ||L* psi||^2_w
 
 
-def _check_compatible(qm: Quasimode, op: OperatorMatrix):
-    if op.which != "L-weighted":
-        raise QuasimodeError("quadratic forms need the L-weighted operator")
-    if (op.grid.n != qm.grid.n
-            or op.grid.halfwidth != qm.grid.halfwidth
-            or op.h != qm.h):
-        raise QuasimodeError("operator grid or h does not match the quasimode")
-
-
-def dirichlet_and_residuals(qm: Quasimode, op: OperatorMatrix) -> QuadraticForms:
-    _check_compatible(qm, op)
-    psi = qm.values
+def dirichlet_and_residuals(qm: Quasimode) -> QuadraticForms:
+    op, psi = qm.op, qm.values
     Lpsi = op.matrix @ psi
     dir_psi = float(np.real(op.inner(psi, Lpsi)))
     # weighted adjoint: L* = W^-1 L^T W; nodes whose weight underflowed to
@@ -376,16 +361,17 @@ class InteractionResult:
     gram: np.ndarray             # G[j, k] = <phi_j, phi_k>_w
 
 
-def interaction_matrix(quasimodes: Sequence[Quasimode],
-                       op: OperatorMatrix) -> InteractionResult:
+def interaction_matrix(quasimodes: Sequence[Quasimode]) -> InteractionResult:
     """Pairwise weighted forms, after checking the support structure.
 
-    Two quasimode supports must either be disjoint (equal saddle values) or
-    nested with the higher-barrier psi constant (= 2) across the lower one;
-    the constant global quasimode is exempt.
+    Every quasimode must live on one operator.  Two quasimode supports must
+    either be disjoint (equal saddle values) or nested with the
+    higher-barrier psi constant (= 2) across the lower one; the constant
+    global quasimode is exempt.
     """
-    for qm in quasimodes:
-        _check_compatible(qm, op)
+    op = quasimodes[0].op
+    if any(qm.op is not op for qm in quasimodes):
+        raise QuasimodeError("quasimodes were built on different operators")
     n = len(quasimodes)
     for j in range(n):
         for k in range(j + 1, n):
@@ -426,28 +412,24 @@ def _D(cp: CriticalPoint) -> float:
 
 
 def predicted_norm_sq(well: LabelledWell, wm: WellMap, h: float) -> float:
-    """Laplace asymptotics of ||psi||^2: 4 (D_mbar/D_m) e^{-(V(m)-V(mbar))/h}."""
+    """Laplace asymptotics of ||psi||^2: 4 (D_mbar/D_m) e^{-(V(m)-V(mbar))/h},
+    times D_m/(D_m + D_mbar) where equal-depth minima share m_h."""
     mbar = wm.global_well.minimum
-    return (4.0 * _D(mbar) / _D(well.minimum)
+    pred = (4.0 * _D(mbar) / _D(well.minimum)
             * math.exp(-(well.minimum.value - mbar.value) / h))
+    if check_generic(wm).double_well_equal_depth:
+        pred *= _D(well.minimum) / (_D(well.minimum) + _D(mbar))
+    return pred
 
 
 def predicted_dirichlet(well: LabelledWell, wm: WellMap,
                         data: Mapping[int, SaddleSpectralData],
-                        h: float) -> tuple[float, float]:
-    """(<L psi, psi>, <L phi, phi>) asymptotics.
-
-    The phi form is the Eyring-Kramers rate
-    sum_s |mu(s)|/(2 pi) (D_m/D_s) e^{-S(m)/h}; the psi form carries the
-    global-minimum normalization instead.
-    """
-    mbar = wm.global_well.minimum
-    psi_form = 0.0
+                        h: float) -> float:
+    """<L phi, phi> asymptotics: the Eyring-Kramers rate
+    sum_s |mu(s)|/(2 pi) (D_m/D_s) e^{-S(m)/h}."""
     phi_form = 0.0
     for sad in well.saddles:
         mu = data[id(sad)].abs_mu
-        psi_form += (2.0 * mu / math.pi) * _D(mbar) / _D(sad) * math.exp(
-            -(sad.value - mbar.value) / h)
         phi_form += (mu / (2.0 * math.pi)) * _D(well.minimum) / _D(sad) \
             * math.exp(-(sad.value - well.minimum.value) / h)
-    return psi_form, phi_form
+    return phi_form

@@ -175,9 +175,9 @@ def test_local_antisymmetric_factor_rejects_gradient_field():
         local_antisymmetric_factor(bad, cp)
 
 
-def test_scaled_landscape_scales_fields_linearly():
+def test_preset_drift_is_linear_in_c():
     base = make_preset("triple_well", c=1.0)
-    doubled = base.scaled(2.0)
+    doubled = make_preset("triple_well", c=2.0)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, size=(20, 2))
     np.testing.assert_allclose(doubled.b_at(pts), 2.0 * base.b_at(pts), rtol=1e-14)

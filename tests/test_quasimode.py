@@ -50,14 +50,15 @@ def tilted_geom_c1(tilted_c1):
                          grid, rho0=RHO0, delta0=DELTA0)
 
 
-def _triple_quasimodes(triple, grid, h):
+def _triple_quasimodes(triple, h):
+    op = triple.operator(h, 96)
     out = []
     for w in triple.wm.wells:
         if w.is_global:
-            out.append(constant_quasimode(w, grid, triple.land, h))
+            out.append(constant_quasimode(w, op))
         else:
-            g = build_cutoffs(w, triple.wm, triple.data, triple.land, grid)
-            out.append(build_quasimode(w, g, h))
+            g = build_cutoffs(w, triple.wm, triple.data, triple.land, op.grid)
+            out.append(build_quasimode(w, g, op))
     return out
 
 
@@ -158,7 +159,7 @@ def test_global_well_has_no_geometry(tilted_c0):
 
 def test_values_in_range_and_plateau_at_minimum(tilted_geom, tilted_c0):
     well = tilted_c0.shallow_well
-    qm = build_quasimode(well, tilted_geom, 0.1)
+    qm = build_quasimode(well, tilted_geom, tilted_c0.operator(0.1, N))
     assert qm.values.min() >= 0.0 and qm.values.max() <= 2.0
     grid = tilted_geom.grid
     assert qm.values[grid.node_of(well.minimum.point)] == 2.0
@@ -166,7 +167,8 @@ def test_values_in_range_and_plateau_at_minimum(tilted_geom, tilted_c0):
 
 
 def test_support_inside_cutoff_sets(tilted_geom, tilted_c0):
-    qm = build_quasimode(tilted_c0.shallow_well, tilted_geom, 0.1)
+    qm = build_quasimode(tilted_c0.shallow_well, tilted_geom,
+                         tilted_c0.operator(0.1, N))
     supp = qm.support
     sigma, d0 = tilted_c0.shallow_well.sigma, tilted_geom.delta0
     tube_union = np.zeros_like(supp)
@@ -183,7 +185,7 @@ def test_value_near_one_at_saddle_node(tilted_geom, tilted_c0):
     well = tilted_c0.shallow_well
     node = tilted_geom.grid.node_of(well.saddles[0].point)
     for h in (0.05, 0.2):
-        qm = build_quasimode(well, tilted_geom, h)
+        qm = build_quasimode(well, tilted_geom, tilted_c0.operator(h, N))
         assert abs(qm.values[node] - 1.0) <= 0.12
 
 
@@ -194,7 +196,7 @@ def test_profile_odd_through_saddle(sym_double):
     well = sym_double.shallow_well
     geom = build_cutoffs(well, sym_double.wm, sym_double.data,
                          sym_double.land, grid)
-    qm = build_quasimode(well, geom, 0.1)
+    qm = build_quasimode(well, geom, sym_double.operator(0.1, 96))
     n = grid.n
     kappa = (qm.values - 1.0).reshape(n, n)
     tube = geom.tubes[0].mask.reshape(n, n)
@@ -258,20 +260,19 @@ def test_profile_integral_is_odd_monotone_and_flat(tilted_c1, h):
 
 
 def test_constant_quasimode_is_kernel_direction(tilted_c0):
-    grid = Grid(halfwidth=2.0, n=96)
-    qg = constant_quasimode(tilted_c0.wm.global_well, grid, tilted_c0.land,
-                            0.15)
-    assert qg.norm == pytest.approx(1.0, rel=1e-12)
     op = tilted_c0.operator(0.15, 96)
+    qg = constant_quasimode(tilted_c0.wm.global_well, op)
+    assert qg.norm == pytest.approx(1.0, rel=1e-12)
     Lphi = op.matrix @ qg.phi
     assert math.sqrt(float(np.real(op.inner(Lphi, Lphi)))) <= 1e-3
     with pytest.raises(ValueError, match="global"):
-        constant_quasimode(tilted_c0.shallow_well, grid, tilted_c0.land, 0.15)
+        constant_quasimode(tilted_c0.shallow_well, op)
 
 
 def test_build_rejects_foreign_well(tilted_geom, tilted_c0):
     with pytest.raises(QuasimodeError, match="different well"):
-        build_quasimode(tilted_c0.wm.global_well, tilted_geom, 0.1)
+        build_quasimode(tilted_c0.wm.global_well, tilted_geom,
+                        tilted_c0.operator(0.1, N))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,7 @@ def test_build_rejects_foreign_well(tilted_geom, tilted_c0):
 def test_norm_squared_matches_prediction(tilted_geom, tilted_c0):
     well = tilted_c0.shallow_well
     for h in (0.05, 0.1, 0.2):
-        qm = build_quasimode(well, tilted_geom, h)
+        qm = build_quasimode(well, tilted_geom, tilted_c0.operator(h, N))
         ratio = qm.norm**2 / predicted_norm_sq(well, tilted_c0.wm, h)
         assert abs(ratio - 1.0) <= 0.5 * h
 
@@ -289,10 +290,9 @@ def test_dirichlet_form_matches_rate_prediction(tilted_geom, tilted_c0):
     well = tilted_c0.shallow_well
     ratios = []
     for h in (0.05, 0.1, 0.2):
-        qm = build_quasimode(well, tilted_geom, h)
-        forms = dirichlet_and_residuals(qm, tilted_c0.operator(h, N))
-        _, phi_pred = predicted_dirichlet(well, tilted_c0.wm, tilted_c0.data,
-                                          h)
+        qm = build_quasimode(well, tilted_geom, tilted_c0.operator(h, N))
+        forms = dirichlet_and_residuals(qm)
+        phi_pred = predicted_dirichlet(well, tilted_c0.wm, tilted_c0.data, h)
         ratio = forms.dirichlet_phi / phi_pred
         assert 1.0 / (1.0 + 10.0 * h) <= ratio <= 1.0 + 10.0 * h
         ratios.append(ratio)
@@ -306,8 +306,9 @@ def test_residual_ratio_is_linear_in_h(tilted_geom, tilted_c0):
     hs = np.array([0.05, 0.1, 0.2])
     rr = []
     for h in hs:
-        qm = build_quasimode(well, tilted_geom, h)
-        forms = dirichlet_and_residuals(qm, tilted_c0.operator(float(h), N))
+        qm = build_quasimode(well, tilted_geom,
+                             tilted_c0.operator(float(h), N))
+        forms = dirichlet_and_residuals(qm)
         rr.append(forms.residual_sq / forms.dirichlet_psi)
     rr = np.array(rr)
     # halving h never increases the ratio by more than 10%
@@ -316,8 +317,8 @@ def test_residual_ratio_is_linear_in_h(tilted_geom, tilted_c0):
     r_sq = 1.0 - float(np.sum((rr - slope * hs) ** 2)) / float(np.sum(rr**2))
     assert r_sq >= 0.95
     # symmetric case: L* = L, so both residuals coincide
-    forms = dirichlet_and_residuals(build_quasimode(well, tilted_geom, 0.1),
-                                    tilted_c0.operator(0.1, N))
+    forms = dirichlet_and_residuals(
+        build_quasimode(well, tilted_geom, tilted_c0.operator(0.1, N)))
     assert forms.adjoint_residual_sq == pytest.approx(forms.residual_sq,
                                                       rel=1e-10)
 
@@ -328,8 +329,8 @@ def test_adjoint_residual_stays_order_one_nonreversible(tilted_geom_c1,
     # a fixed band above the forward residual (measured 10.3 .. 18.3)
     well = tilted_c1.shallow_well
     for h in (0.1, 0.15, 0.2):
-        qm = build_quasimode(well, tilted_geom_c1, h)
-        forms = dirichlet_and_residuals(qm, tilted_c1.operator(h, N))
+        qm = build_quasimode(well, tilted_geom_c1, tilted_c1.operator(h, N))
+        forms = dirichlet_and_residuals(qm)
         adj = forms.adjoint_residual_sq / forms.dirichlet_psi
         fwd = forms.residual_sq / forms.dirichlet_psi
         assert 5.0 <= adj <= 40.0
@@ -340,34 +341,43 @@ def test_nonreversible_dirichlet_uses_transverse_rate(tilted_geom_c1,
                                                       tilted_c1):
     well = tilted_c1.shallow_well
     for h in (0.1, 0.2):
-        qm = build_quasimode(well, tilted_geom_c1, h)
-        forms = dirichlet_and_residuals(qm, tilted_c1.operator(h, N))
-        _, phi_pred = predicted_dirichlet(well, tilted_c1.wm, tilted_c1.data,
-                                          h)
+        qm = build_quasimode(well, tilted_geom_c1, tilted_c1.operator(h, N))
+        forms = dirichlet_and_residuals(qm)
+        phi_pred = predicted_dirichlet(well, tilted_c1.wm, tilted_c1.data, h)
         ratio = forms.dirichlet_phi / phi_pred
         assert 1.0 / (1.0 + 10.0 * h) <= ratio <= 1.0 + 10.0 * h
 
 
-def test_forms_reject_mismatched_operator(tilted_geom, tilted_c0):
-    qm = build_quasimode(tilted_c0.shallow_well, tilted_geom, 0.1)
-    grid = Grid(halfwidth=tilted_c0.land.halfwidth, n=N)
-    flat = assemble(tilted_c0.land, 0.1, grid, "P-flat",
+def test_build_rejects_flat_or_foreign_grid_operator(tilted_geom, tilted_c0):
+    well = tilted_c0.shallow_well
+    flat = assemble(tilted_c0.land, 0.1, tilted_geom.grid, "P-flat",
                     criticals=tilted_c0.criticals)
     with pytest.raises(QuasimodeError, match="L-weighted"):
-        dirichlet_and_residuals(qm, flat)
-    with pytest.raises(QuasimodeError, match="match"):
-        dirichlet_and_residuals(qm, tilted_c0.operator(0.2, N))
-    with pytest.raises(QuasimodeError, match="match"):
-        dirichlet_and_residuals(qm, tilted_c0.operator(0.1, 96))
+        build_quasimode(well, tilted_geom, flat)
+    with pytest.raises(QuasimodeError, match="L-weighted"):
+        constant_quasimode(tilted_c0.wm.global_well, flat)
+    with pytest.raises(QuasimodeError, match="grid"):
+        build_quasimode(well, tilted_geom, tilted_c0.operator(0.1, 96))
+
+
+def test_equal_depth_norm_matches_prediction(sym_double):
+    # the two minima share m_h equally, so without the equal-depth factor
+    # the ratio would be 1/2
+    op = sym_double.operator(0.05, 192)
+    well = sym_double.shallow_well
+    geom = build_cutoffs(well, sym_double.wm, sym_double.data,
+                         sym_double.land, op.grid)
+    qm = build_quasimode(well, geom, op)
+    ratio = qm.norm**2 / predicted_norm_sq(well, sym_double.wm, 0.05)
+    assert abs(ratio - 1.0) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
 # interaction and Gram structure
 
 def test_triple_well_interaction_offdiagonals_vanish(triple):
-    grid = Grid(halfwidth=3.0, n=96)
-    qms = _triple_quasimodes(triple, grid, 0.15)
-    res = interaction_matrix(qms, triple.operator(0.15, 96))
+    qms = _triple_quasimodes(triple, 0.15)
+    res = interaction_matrix(qms)
     K = res.interaction
     diag = np.diag(K)
     off = np.abs(K - np.diag(diag))
@@ -376,16 +386,14 @@ def test_triple_well_interaction_offdiagonals_vanish(triple):
     for j, qm in enumerate(qms):
         if qm.well.is_global:
             continue
-        forms = dirichlet_and_residuals(qm, triple.operator(0.15, 96))
+        forms = dirichlet_and_residuals(qm)
         assert K[j, j] == pytest.approx(forms.dirichlet_phi, rel=1e-12)
 
 
 def test_gram_identity_plus_exponentially_small(triple):
-    grid = Grid(halfwidth=3.0, n=96)
     offs = {}
     for h in (0.1, 0.2):
-        res = interaction_matrix(_triple_quasimodes(triple, grid, h),
-                                 triple.operator(h, 96))
+        res = interaction_matrix(_triple_quasimodes(triple, h))
         G = res.gram
         assert np.allclose(np.diag(G), 1.0, atol=1e-12)
         assert np.allclose(G, G.T, atol=1e-14)
@@ -395,14 +403,25 @@ def test_gram_identity_plus_exponentially_small(triple):
     c_fit = (math.log(offs[0.2]) - math.log(offs[0.1])) / (1 / 0.1 - 1 / 0.2)
     assert c_fit > 0.15
     # the two non-global supports are disjoint, so that entry is exactly 0
-    qms = _triple_quasimodes(triple, grid, 0.15)
-    res = interaction_matrix(qms, triple.operator(0.15, 96))
+    qms = _triple_quasimodes(triple, 0.15)
+    res = interaction_matrix(qms)
     ng = [j for j, q in enumerate(qms) if not q.well.is_global]
     assert abs(res.gram[ng[0], ng[1]]) <= 1e-15
     assert not np.any(qms[ng[0]].support & qms[ng[1]].support)
 
 
 def test_equal_level_overlap_rejected(tilted_geom, tilted_c0):
-    qm = build_quasimode(tilted_c0.shallow_well, tilted_geom, 0.1)
+    qm = build_quasimode(tilted_c0.shallow_well, tilted_geom,
+                         tilted_c0.operator(0.1, N))
     with pytest.raises(QuasimodeError, match="decrease"):
-        interaction_matrix([qm, qm], tilted_c0.operator(0.1, N))
+        interaction_matrix([qm, qm])
+
+
+def test_interaction_rejects_quasimodes_on_different_operators(tilted_geom,
+                                                               tilted_c0):
+    qm = build_quasimode(tilted_c0.shallow_well, tilted_geom,
+                         tilted_c0.operator(0.1, N))
+    qg = constant_quasimode(tilted_c0.wm.global_well,
+                            tilted_c0.operator(0.2, N))
+    with pytest.raises(QuasimodeError, match="different operators"):
+        interaction_matrix([qg, qm])
