@@ -58,11 +58,12 @@ class Analysis:
         return min(wells, key=lambda w: w.round_index)
 
     def operator(self, h: float, n: int) -> OperatorMatrix:
-        """The weighted generator ("L-weighted") on the n x n grid."""
+        """The generator on the n x n grid: its flat form, from which the
+        weighted matrix is derived on first use."""
         key = (h, n)
         if key not in self._operators:
             grid = Grid(halfwidth=self.land.halfwidth, n=n)
-            self._operators[key] = assemble(self.land, h, grid, "L-weighted",
+            self._operators[key] = assemble(self.land, h, grid,
                                             criticals=self.criticals)
         return self._operators[key]
 
@@ -76,7 +77,7 @@ class Analysis:
 
     def _solve_args(self, h: float, n: int) -> tuple[OperatorMatrix, int]:
         """``small_spectrum``'s arguments, the same for ``spectrum`` and
-        ``solve_spectra``: the weighted generator and the count."""
+        ``solve_spectra``: the operator and the count."""
         return self.operator(h, n), max(6, len(self.wm.wells) + 2)
 
 

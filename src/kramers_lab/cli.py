@@ -202,6 +202,8 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
         else:
             _require("V" in land, "landscape.V",
                      "missing potential expression")
+            _require(land.get("box", 2.0) > 0, "landscape.box",
+                     "must be positive")
             _require(land.get("dimension", 2) == 2, "landscape.dimension",
                      "only dimension 2 is supported")
             _expression(land["V"], "landscape.V")
@@ -332,10 +334,7 @@ def _stage_analyze(ctx: _Context) -> list[str]:
         if not station.passed:
             raise StageFailure(
                 "analyze: drift field violates stationarity of exp(-V/h): "
-                f"max |b.grad V| = {station.max_b_dot_grad_V:.3e}, "
-                f"max |div nu| = {station.max_div_nu:.3e}, "
-                f"max |div b - nu.grad V| = {station.max_div_b_mismatch:.3e} "
-                f"> {station.tolerance:g}")
+                + station.describe())
         wm, data = ana.wm, ana.data
         preds = {h: predict_spectrum(land, wm, h, data) for h in cfg.h}
         for i in range(len(wm.wells)):

@@ -1,37 +1,40 @@
-"""Finite-difference operators for the generator and its conjugated form.
+"""Finite-difference form of the generator, stored once per (h, grid).
 
-Two matrices are assembled from one set of coefficient arrays:
+The matrix assembled is the flat form P: the conjugation of h L by the
+ground-state weight e^{-V/2h}, acting on flat L^2.  The Laplacian part is
+the standard 5-point stencil -h^2 Delta; in place of the sampled Witten
+potential |grad V/2|^2 - h Delta V/2 the diagonal carries the
+exponentially fitted sum (h^2/dx^2) sum_e e^{(V_i - V_{i+e})/2h}, which
+agrees with it to O(dx^2) and keeps the scheme positivity-structured at
+any mesh Peclet number in grad V; the drift contributes
+h b_h . (centered difference) plus the zeroth-order term b_h . grad V / 2
+evaluated symbolically.
 
-* ``P-flat``: the conjugation of h L by the ground-state weight e^{-V/2h},
-  acting on flat L^2.  The Laplacian part is the standard 5-point stencil
-  -h^2 Delta; in place of the sampled Witten potential |grad V/2|^2
-  - h Delta V/2 the diagonal carries the exponentially fitted sum
-  (h^2/dx^2) sum_e e^{(V_i - V_{i+e})/2h}, which agrees with it to O(dx^2)
-  and keeps the scheme positivity-structured at any mesh Peclet number in
-  grad V; the drift contributes h b_h . (centered difference) plus the
-  zeroth-order term b_h . grad V / 2 evaluated symbolically.
-
-* ``L-weighted``: the generator -h Delta + grad V . grad + b_h . grad in
-  the weighted space L^2(m_h), obtained from the *same* entries via the
-  exact entrywise similarity L_ij = P_ij e^{(V_i - V_j)/2h} / h.  Spectra
-  therefore satisfy eig(P) = h eig(L) to machine precision, boundary rows
-  included, and for the preset drifts the weighted drift part is exactly
-  antisymmetric, so Re<Lu, u>_w equals the (nonnegative) discrete
-  Dirichlet form.
+The weighted generator -h Delta + grad V . grad + b_h . grad on
+L^2(m_h) is derived from P on first use by the exact entrywise similarity
+L_ij = P_ij e^{(V_i - V_j)/2h} / h.  Spectra therefore satisfy
+eig(P) = h eig(L) to machine precision, boundary rows included, and for
+the preset drifts the weighted drift part is exactly antisymmetric, so
+Re<Lu, u>_w equals the (nonnegative) discrete Dirichlet form.
 
 Boundary rows are identity (homogeneous Dirichlet); the truncation error
 is exponentially small because e^{-V/2h} is negligible at the box edge.
 
 The small spectrum is found by shift-invert Arnoldi around zero on the
-flat form, driven by one sparse LU factor per solve.  The stencil is
-structurally symmetric, so the factor uses a minimum-degree ordering of
-A^T + A, which fills about half as much as SuperLU's default COLAMD.
+flat form, driven by one sparse LU factor per solve.  The weighted matrix
+is exponentially non-normal (departure ~ e^{(max V - min V)/2h}) and
+direct Krylov iteration on it is unreliable; the factors
+e^{(V_i - V_j)/2h} relating the two only involve neighbouring nodes, so P
+stays well scaled.  The stencil is structurally symmetric, so the factor
+uses a minimum-degree ordering of A^T + A, which fills about half as much
+as SuperLU's default COLAMD.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,12 +94,23 @@ class Grid:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    matrix: sp.csr_matrix
-    which: str                   # "L-weighted" or "P-flat"
+    """The flat form P at one h; the weighted generator L is ``matrix``."""
+
+    flat: sp.csc_matrix          # P, in the format the LU factor takes
     h: float
     grid: Grid
     weights: np.ndarray          # m_h node weights: sum w_i dx^2 = 1
     V_nodes: np.ndarray
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """L_ij = P_ij e^{(V_i - V_j)/2h} / h, built on first use."""
+        L = self.flat.tocsr()
+        rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+        V = self.V_nodes
+        L.data = L.data * np.exp((V[rows] - V[L.indices]) / (2.0 * self.h)) \
+            / self.h
+        return L
 
     @property
     def quadrature(self) -> float:
@@ -143,11 +157,9 @@ def _peclet_guard(land: Landscape, h: float, grid: Grid, V, pts, criticals):
         )
 
 
-def assemble(land: Landscape, h: float, grid: Grid, which: str,
+def assemble(land: Landscape, h: float, grid: Grid,
              criticals=None) -> OperatorMatrix:
-    """Build one of the two operator matrices on the given grid."""
-    if which not in ("L-weighted", "P-flat"):
-        raise ValueError(f"unknown operator kind {which!r}")
+    """Build the flat form of the generator on the given grid."""
     if land.dimension != 2:
         raise DiscretizationError("PDE validation is two-dimensional only")
     if not 0 < h <= 1:
@@ -155,10 +167,7 @@ def assemble(land: Landscape, h: float, grid: Grid, which: str,
     report = validate_stationarity(land)
     if not report.passed:
         raise DiscretizationError(
-            f"drift fields are not admissible: max |b.grad V| = "
-            f"{report.max_b_dot_grad_V:.3g}, max |div nu| = "
-            f"{report.max_div_nu:.3g}"
-        )
+            f"drift fields are not admissible: {report.describe()}")
     if criticals is None:
         criticals = find_critical_points(land)
     dx = grid.spacing
@@ -197,26 +206,16 @@ def assemble(land: Landscape, h: float, grid: Grid, which: str,
           + 0.5 * h * ex.evaluate_many(land.nu_dot_grad_V, pts[idx]))
     diag[idx] += zo
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    pvals = np.concatenate(pvals)
-    if which == "P-flat":
-        offdiag, dvals = pvals, diag
-    else:
-        offdiag = pvals * np.exp((V[rows] - V[cols]) / (2.0 * h)) / h
-        dvals = diag / h
-
-    M = sp.coo_matrix(
-        (np.concatenate([offdiag, dvals]),
-         (np.concatenate([rows, np.arange(N)]),
-          np.concatenate([cols, np.arange(N)]))),
+    P = sp.coo_matrix(
+        (np.concatenate(pvals + [diag]),
+         (np.concatenate(rows + [np.arange(N)]),
+          np.concatenate(cols + [np.arange(N)]))),
         shape=(N, N),
-    ).tocsr()
+    ).tocsc()
 
     w = np.exp(-(V - V.min()) / h)
     w /= w.sum() * dx**2
-    return OperatorMatrix(matrix=M, which=which, h=h, grid=grid,
-                          weights=w, V_nodes=V)
+    return OperatorMatrix(flat=P, h=h, grid=grid, weights=w, V_nodes=V)
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +230,15 @@ class SpectrumResult:
     vectors: np.ndarray | None = None
 
 
-def _conjugate_to_flat(op: OperatorMatrix) -> sp.csr_matrix:
-    """h * E^-1 L E with E = diag(e^{V/2h}); recovers the flat form P.
-
-    The factors e^{(V_i - V_j)/2h} only involve neighbouring nodes, so they
-    stay bounded; the weighted matrix itself is exponentially non-normal
-    (departure ~ e^{(max V - min V)/2h}) and direct Krylov iteration on it
-    is unreliable.
-    """
-    C = op.matrix.tocoo()
-    V, h = op.V_nodes, op.h
-    vals = op.h * C.data * np.exp((V[C.col] - V[C.row]) / (2.0 * h))
-    return sp.coo_matrix((vals, (C.row, C.col)), shape=C.shape).tocsr()
-
-
 def small_spectrum(op: OperatorMatrix, count: int = 6,
                    threshold: float | None = None,
                    vectors: bool = False) -> SpectrumResult:
-    """Eigenvalues of smallest real part by shift-invert around zero.
+    """Eigenvalues of smallest real part of the weighted generator, by
+    shift-invert around zero.
 
-    For the weighted operator the solve runs on its exact conjugation to
-    the flat form (symmetric when b = 0) and the spectrum is mapped back
-    by the factor h; eigenvectors are unconjugated with a log-domain shift
-    so the ground-state weight never overflows.
+    The solve runs on the flat form (symmetric when b = 0) and the spectrum
+    is mapped back by the factor h; eigenvectors are unconjugated with a
+    log-domain shift so the ground-state weight never overflows.
 
     The flat matrix is factored once (SuperLU, minimum-degree ordering on
     A^T + A) and ARPACK applies that factor as its shift-invert operator.
@@ -267,8 +252,10 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
     """
     if count > 20:
         raise ValueError("small-spectrum counts above 20 are not supported")
-    weighted = op.which == "L-weighted"
-    A = (_conjugate_to_flat(op) if weighted else op.matrix).tocsc()
+    if count < 2:
+        raise ValueError("small-spectrum counts below 2 leave no jump to "
+                         "split the metastable cluster at")
+    A = op.flat
     N = A.shape[0]
     sigma = 0.0
     try:
@@ -287,19 +274,18 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
                                               dtype=A.dtype),
                     return_eigenvectors=vectors)
     vals, vecs = (out if vectors else (out, None))
-    if weighted:
-        vals = vals / op.h
-        if vecs is not None:
-            logw = op.V_nodes / (2.0 * op.h)
-            cols = []
-            for k in range(vecs.shape[1]):
-                x = vecs[:, k]
-                mag = np.abs(x)
-                t = np.log(mag + 1e-300) + logw
-                phase = np.where(mag > 0, x / (mag + 1e-300), 0.0)
-                v = phase * np.exp(t - t.max())
-                cols.append(v / max(op.norm(v), 1e-300))
-            vecs = np.stack(cols, axis=1)
+    vals = vals / op.h
+    if vecs is not None:
+        logw = op.V_nodes / (2.0 * op.h)
+        cols = []
+        for k in range(vecs.shape[1]):
+            x = vecs[:, k]
+            mag = np.abs(x)
+            t = np.log(mag + 1e-300) + logw
+            phase = np.where(mag > 0, x / (mag + 1e-300), 0.0)
+            v = phase * np.exp(t - t.max())
+            cols.append(v / max(op.norm(v), 1e-300))
+        vecs = np.stack(cols, axis=1)
     order = np.argsort(vals.real)
     vals = vals[order]
     if vecs is not None:
@@ -328,8 +314,6 @@ def semigroup_decay(op: OperatorMatrix, u0, T: float, dt: float) -> float:
     component is re-projected out at every step so the fit sees the slow
     metastable mode and not the numerical floor.
     """
-    if op.which != "L-weighted":
-        raise DiscretizationError("semigroup decay is defined for L-weighted")
     u = np.asarray(u0, dtype=float).copy()
     nrm = op.norm(u)
     if nrm == 0.0:

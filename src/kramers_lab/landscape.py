@@ -259,6 +259,13 @@ class StationarityReport:
                     self.max_div_b_mismatch)
         return worst <= self.tolerance
 
+    def describe(self) -> str:
+        """The three residuals and the tolerance, for refusal messages."""
+        return (f"max |b.grad V| = {self.max_b_dot_grad_V:.3e}, "
+                f"max |div nu| = {self.max_div_nu:.3e}, "
+                f"max |div b - nu.grad V| = {self.max_div_b_mismatch:.3e}; "
+                f"tolerance {self.tolerance:g}")
+
 
 def validate_stationarity(land: Landscape, seed: int = 0) -> StationarityReport:
     """Check the three stationarity identities at 4096 uniform random

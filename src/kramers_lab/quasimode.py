@@ -290,8 +290,6 @@ def build_quasimode(well: LabelledWell, geom: CutoffGeometry,
     """psi = theta (kappa + 1) on the geometry's grid at h = op.h."""
     if well is not geom.well:
         raise QuasimodeError("geometry was built for a different well")
-    if op.which != "L-weighted":
-        raise QuasimodeError("quasimodes live on the L-weighted operator")
     if op.grid != geom.grid:
         raise QuasimodeError("operator grid does not match the geometry's")
     grid, V, h = geom.grid, geom.V_nodes, op.h
@@ -321,8 +319,6 @@ def constant_quasimode(well: LabelledWell, op: OperatorMatrix) -> Quasimode:
     """psi = 1 for the global minimum: the exact kernel direction."""
     if not well.is_global:
         raise ValueError("constant quasimode is reserved for the global well")
-    if op.which != "L-weighted":
-        raise QuasimodeError("quasimodes live on the L-weighted operator")
     ones = np.ones(op.grid.size)
     return Quasimode(well=well, op=op, values=ones, norm=op.norm(ones))
 

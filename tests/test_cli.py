@@ -108,6 +108,10 @@ def test_schema_rejections(tmp_path):
          "landscape.a: expected a number"),
         ({"landscape": {"dimension": 2, "V": "x^2 + y^2", "box": [2]}},
          "landscape.box: expected a number"),
+        ({"landscape": {"dimension": 2, "V": "x^2 + y^2", "box": 0}},
+         r"landscape\.box: must be positive"),
+        ({"landscape": {"dimension": 2, "V": "x^2 + y^2", "box": -1.5}},
+         r"landscape\.box: must be positive"),
         ({"sde": {"trails": 10}}, r"sde\.trails: unknown key"),
         ({"grids": {"n": 96}}, "grids: unknown key"),
         ({"grid": {"m": 96}}, r"grid\.m: unknown key"),

@@ -64,18 +64,43 @@ def test_grid_guards():
 
 def test_flat_form_symmetric_without_drift():
     land = make_preset("tilted_double_well")
-    op = assemble(land, 0.15, Grid(2.0, 64), "P-flat")
-    A = op.matrix
+    op = assemble(land, 0.15, Grid(2.0, 64))
+    A = op.flat
     assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
     # m_h weights are a normalized quadrature rule
     assert op.weights.sum() * op.quadrature == pytest.approx(1.0, abs=1e-12)
+
+
+def test_weighted_matrix_is_the_conjugated_flat_form():
+    # L = E P E^-1 / h with E = diag(e^{V/2h}), built here from the node
+    # potential; the entrywise similarity keeps P's sparsity pattern
+    import scipy.sparse as sp
+
+    h = 0.3
+    land = make_preset("tilted_double_well", c=1.0)
+    op = assemble(land, h, Grid(2.0, 64))
+    V = land.V_at(op.grid.points())
+    E = sp.diags(np.exp(V / (2.0 * h)))
+    E_inv = sp.diags(np.exp(-V / (2.0 * h)))
+    ref = (E @ op.flat @ E_inv / h).tocsr()
+    L = op.matrix
+    assert L.nnz == op.flat.nnz
+    gap = abs(L - ref).tocoo()
+    assert np.all(gap.data <= 1e-13 * np.abs(ref[gap.row, gap.col]).A1)
+
+
+def test_small_spectrum_never_builds_the_weighted_matrix():
+    op = assemble(make_preset("tilted_double_well", c=1.0), 0.3,
+                  Grid(2.0, 64))
+    small_spectrum(op, 4, vectors=True)
+    assert "matrix" not in op.__dict__
 
 
 def test_constant_in_kernel_without_drift():
     # derivatives of constants vanish: rows whose stencil does not touch the
     # eliminated boundary columns annihilate the constant vector exactly
     land = make_preset("tilted_double_well")
-    op = assemble(land, 0.15, Grid(2.0, 64), "L-weighted")
+    op = assemble(land, 0.15, Grid(2.0, 64))
     r = op.matrix @ np.ones(op.grid.size)
     deep = _deep_interior(op.grid)
     res = np.sqrt(np.sum(r[deep] ** 2 * op.weights[deep]) * op.quadrature)
@@ -88,7 +113,7 @@ def test_constant_kernel_residual_is_second_order():
     land = make_preset("tilted_double_well", c=1.0)
     res = []
     for n in (64, 128):
-        op = assemble(land, 0.3, Grid(2.0, n), "L-weighted")
+        op = assemble(land, 0.3, Grid(2.0, n))
         r = op.matrix @ np.ones(op.grid.size)
         deep = _deep_interior(op.grid)
         res.append(np.sqrt(np.sum(r[deep] ** 2 * op.weights[deep])
@@ -97,21 +122,23 @@ def test_constant_kernel_residual_is_second_order():
 
 
 def test_weighted_and_flat_spectra_agree():
-    # eig(P) = h * eig(L) through two independent shift-invert solves
+    # eig(P) = h * eig(L): SciPy's own shift-invert solve of the flat form
+    # against small_spectrum's weighted eigenvalues
+    import scipy.sparse.linalg as spla
+
     land = make_preset("tilted_double_well", c=1.0)
-    g = Grid(2.0, 96)
     h = 0.2
-    a = np.sort(small_spectrum(assemble(land, h, g, "P-flat"), 6)
-                .eigenvalues.real) / h
-    b = np.sort(small_spectrum(assemble(land, h, g, "L-weighted"), 6)
-                .eigenvalues.real)
+    op = assemble(land, h, Grid(2.0, 96))
+    a = np.sort(spla.eigs(op.flat, k=6, sigma=0.0, v0=np.ones(op.grid.size),
+                          return_eigenvectors=False).real) / h
+    b = np.sort(small_spectrum(op, 6).eigenvalues.real)
     rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-8 * abs(b[-1]))
     assert rel.max() <= 1e-6
 
 
 def test_accretivity_on_random_vectors():
     land = make_preset("tilted_double_well", c=1.0)
-    op = assemble(land, 0.2, Grid(2.0, 96), "L-weighted")
+    op = assemble(land, 0.2, Grid(2.0, 96))
     rng = np.random.default_rng(7)
     for _ in range(100):
         u = rng.standard_normal(op.grid.size)
@@ -123,10 +150,8 @@ def test_weighted_adjoint_is_drift_reversal():
     import scipy.sparse as sp
 
     g = Grid(2.0, 64)
-    op_f = assemble(make_preset("tilted_double_well", c=1.0), 0.3, g,
-                    "L-weighted")
-    op_b = assemble(make_preset("tilted_double_well", c=-1.0), 0.3, g,
-                    "L-weighted")
+    op_f = assemble(make_preset("tilted_double_well", c=1.0), 0.3, g)
+    op_b = assemble(make_preset("tilted_double_well", c=-1.0), 0.3, g)
     W = sp.diags(op_f.weights)
     diff = abs((W @ op_f.matrix).T - W @ op_b.matrix).max()
     assert diff <= 1e-12 * abs(W @ op_f.matrix).max()
@@ -144,16 +169,17 @@ def test_single_well_against_dense_oracle():
     # V = x^2 + y^2: flat form is symmetric, so a dense symmetric eigensolve
     # is available as an oracle for the shift-invert path
     land = _flat_landscape("x^2 + y^2", 4.0)
-    op = assemble(land, 0.15, Grid(4.0, 48), "P-flat")
-    dense = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))[:6]
+    h = 0.15
+    op = assemble(land, h, Grid(4.0, 48))
+    dense = np.sort(np.linalg.eigvalsh(op.flat.toarray()))[:6] / h
     s = small_spectrum(op, 6)
     got = np.sort(s.eigenvalues.real)
     assert np.max(np.abs(got - dense)) <= 1e-10 * dense[-1]
     assert np.max(np.abs(s.eigenvalues.imag)) <= 1e-12
-    # one well: a single eigenvalue ~ 0, the next at the harmonic scale h
+    # one well: a single eigenvalue ~ 0, the next at the Hessian scale 2
     assert s.n0_observed == 1
     assert got[0] <= 1e-8
-    assert 0.9 <= s.gap_witness / (0.15 * 2.0) <= 1.05
+    assert 0.9 <= s.gap_witness / 2.0 <= 1.05
 
 
 @pytest.mark.parametrize("name,n,expected_n0", [
@@ -163,7 +189,7 @@ def test_single_well_against_dense_oracle():
 ])
 def test_metastable_counting_matches_wells(name, n, expected_n0):
     land = make_preset(name)
-    op = assemble(land, 0.15, Grid(land.halfwidth, n), "L-weighted")
+    op = assemble(land, 0.15, Grid(land.halfwidth, n))
     s = small_spectrum(op, count=expected_n0 + 4)
     assert s.n0_observed == expected_n0
     cluster = np.sort(s.eigenvalues.real)[:expected_n0]
@@ -186,7 +212,7 @@ def test_nu_drift_spectrum_matches_prediction(tilted_nu):
 
 def test_explicit_threshold_overrides_calibration():
     land = make_preset("tilted_double_well")
-    op = assemble(land, 0.15, Grid(2.0, 96), "L-weighted")
+    op = assemble(land, 0.15, Grid(2.0, 96))
     s = small_spectrum(op, 6, threshold=0.5)
     assert s.n0_observed == 2
     assert s.threshold == 0.5
@@ -197,29 +223,23 @@ def test_grid_convergence_of_lambda2():
     land = make_preset("tilted_double_well")
     lam = []
     for n in (160, 224):
-        op = assemble(land, 0.15, Grid(2.0, n), "L-weighted")
+        op = assemble(land, 0.15, Grid(2.0, n))
         lam.append(np.sort(small_spectrum(op, 4).eigenvalues.real)[1])
     assert abs(lam[1] / lam[0] - 1.0) < 0.02
 
 
-@pytest.mark.parametrize("which", ["P-flat", "L-weighted"])
-def test_eigenpairs_have_round_off_flat_residuals(which):
+def test_eigenpairs_have_round_off_flat_residuals():
     import scipy.sparse.linalg as spla
-
-    from kramers_lab.discretize import _conjugate_to_flat
 
     h = 0.2
     op = assemble(make_preset("tilted_double_well", c=1.0), h,
-                  Grid(2.0, 96), which)
+                  Grid(2.0, 96))
     s = small_spectrum(op, 6, vectors=True)
-    if which == "P-flat":
-        P, lam, X = op.matrix, s.eigenvalues, s.vectors
-    else:
-        # back to the flat form: x = v e^{-V/2h}, rescaled in the log domain
-        P, lam = _conjugate_to_flat(op), h * s.eigenvalues
-        mag = np.abs(s.vectors)
-        t = np.log(mag + 1e-300) - op.V_nodes[:, None] / (2.0 * h)
-        X = s.vectors / (mag + 1e-300) * np.exp(t - t.max(axis=0))
+    # back to the flat form: x = v e^{-V/2h}, rescaled in the log domain
+    P, lam = op.flat, h * s.eigenvalues
+    mag = np.abs(s.vectors)
+    t = np.log(mag + 1e-300) - op.V_nodes[:, None] / (2.0 * h)
+    X = s.vectors / (mag + 1e-300) * np.exp(t - t.max(axis=0))
     res = (np.linalg.norm(P @ X - X * lam, axis=0)
            / (spla.norm(P, 1) * np.linalg.norm(X, axis=0)))
     assert res.max() <= 1e-13
@@ -231,30 +251,27 @@ def test_exactly_singular_matrix_takes_the_shifted_factor():
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    op = assemble(make_preset("tilted_double_well"), 0.2, Grid(2.0, 32),
-                  "P-flat")
+    op = assemble(make_preset("tilted_double_well"), 0.2, Grid(2.0, 32))
     # diag(0, 1, 2, ...): the zero pivot makes every LU ordering fail
     A = sp.diags(np.arange(op.grid.size, dtype=float)).tocsc()
     with pytest.raises(RuntimeError, match="singular"):
         spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-    s = small_spectrum(dataclasses.replace(op, matrix=A.tocsr()), 6)
-    assert np.allclose(s.eigenvalues, np.arange(6), rtol=0, atol=1e-9)
+    s = small_spectrum(dataclasses.replace(op, flat=A), 6)
+    assert np.allclose(op.h * s.eigenvalues, np.arange(6), rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("count", [10, 20])
 def test_large_counts_match_a_wide_krylov_reference(count):
     import scipy.sparse.linalg as spla
 
-    from kramers_lab.discretize import _conjugate_to_flat
-
     h = 0.2
     op = assemble(make_preset("tilted_double_well", c=1.0), h,
-                  Grid(2.0, 96), "L-weighted")
+                  Grid(2.0, 96))
     got = small_spectrum(op, count).eigenvalues
     assert got.size == count
     # reference: SciPy's own shift-invert factor, a 120-vector Krylov
     # space, tighter tolerance and four extra eigenvalues
-    ref = spla.eigs(_conjugate_to_flat(op).tocsc(), k=count + 4, sigma=0.0,
+    ref = spla.eigs(op.flat, k=count + 4, sigma=0.0,
                     ncv=120, tol=1e-12, v0=np.ones(op.grid.size),
                     return_eigenvectors=False) / h
     for lam in got:
@@ -269,7 +286,7 @@ def test_large_counts_match_a_wide_krylov_reference(count):
 def test_ou_decay_rate_is_one():
     # exact OU generator spectrum is {0, 1, 2, ...} independent of h
     land = _flat_landscape("(x^2 + y^2) / 2", 4.0)
-    op = assemble(land, 0.15, Grid(4.0, 96), "L-weighted")
+    op = assemble(land, 0.15, Grid(4.0, 96))
     u0 = remove_weighted_mean(op, op.grid.points()[:, 0].copy())
     rate = semigroup_decay(op, u0, T=4.0, dt=0.02)
     assert rate == pytest.approx(1.0, abs=0.03)
@@ -277,7 +294,7 @@ def test_ou_decay_rate_is_one():
 
 def test_decay_rate_matches_lambda2_and_u0_independent():
     land = make_preset("tilted_double_well")
-    op = assemble(land, 0.2, Grid(2.0, 64), "L-weighted")
+    op = assemble(land, 0.2, Grid(2.0, 64))
     lam2 = np.sort(small_spectrum(op, 4).eigenvalues.real)[1]
     pts = op.grid.points()
     rates = []
@@ -290,7 +307,7 @@ def test_decay_rate_matches_lambda2_and_u0_independent():
 
 def test_semigroup_guards():
     land = make_preset("tilted_double_well")
-    op = assemble(land, 0.2, Grid(2.0, 64), "L-weighted")
+    op = assemble(land, 0.2, Grid(2.0, 64))
     rng = np.random.default_rng(0)
     rough = rng.standard_normal(op.grid.size)
     with pytest.raises(DiscretizationError, match="weighted mean"):
@@ -299,9 +316,6 @@ def test_semigroup_guards():
         semigroup_decay(op, remove_weighted_mean(op, rough), T=60.0, dt=2.0)
     with pytest.raises(DiscretizationError, match="20 time steps"):
         semigroup_decay(op, remove_weighted_mean(op, rough), T=1.0, dt=0.5)
-    op_p = assemble(land, 0.2, Grid(2.0, 64), "P-flat")
-    with pytest.raises(DiscretizationError, match="L-weighted"):
-        semigroup_decay(op_p, rough, T=10.0, dt=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +324,7 @@ def test_semigroup_guards():
 def test_peclet_refusal_suggests_refinement():
     land = make_preset("tilted_double_well", c=1.0)
     with pytest.raises(DiscretizationError, match="Peclet"):
-        assemble(land, 0.1, Grid(2.0, 64), "L-weighted")
+        assemble(land, 0.1, Grid(2.0, 64))
 
 
 def test_critical_point_near_boundary_refused():
@@ -318,24 +332,37 @@ def test_critical_point_near_boundary_refused():
     # than 4 grid steps of margin at n = 48
     land = _flat_landscape("(x^2 - 1)^2 + 0.5 * x + y^2", 1.2)
     with pytest.raises(DiscretizationError, match="boundary"):
-        assemble(land, 0.2, Grid(1.2, 48), "L-weighted")
+        assemble(land, 0.2, Grid(1.2, 48))
 
 
 def test_non_stationary_drift_refused():
     bad = _flat_landscape("x^2 + y^2", 2.0,
                           b=(ex.parse("x", 2), ex.constant(0.0)))
     with pytest.raises(DiscretizationError, match="admissible"):
-        assemble(bad, 0.2, Grid(2.0, 32), "L-weighted")
+        assemble(bad, 0.2, Grid(2.0, 32))
+
+
+def test_stationarity_refusal_names_the_failing_residual(tilted_nu):
+    # dropping nu keeps b . grad V = 0 and div nu = 0; only the third
+    # identity, div b = nu . grad V, fails
+    land = tilted_nu.land
+    zero = ex.constant(0.0)
+    dropped = Landscape(dimension=2, V=land.V, b=land.b, nu=(zero, zero),
+                        halfwidth=land.halfwidth)
+    with pytest.raises(DiscretizationError,
+                       match=r"div b - nu\.grad V\| = [12]\.\d+e\+00; "
+                             r"tolerance 1e-10"):
+        assemble(dropped, 0.2, Grid(2.0, 32))
 
 
 def test_parameter_validation():
     land = make_preset("sym_double_well")
     g = Grid(2.0, 32)
-    with pytest.raises(ValueError, match="unknown operator"):
-        assemble(land, 0.2, g, "Q-mystery")
     with pytest.raises(DiscretizationError, match="h must"):
-        assemble(land, 0.0, g, "L-weighted")
+        assemble(land, 0.0, g)
     with pytest.raises(DiscretizationError, match="h must"):
-        assemble(land, 1.5, g, "L-weighted")
+        assemble(land, 1.5, g)
     with pytest.raises(ValueError, match="counts above 20"):
-        small_spectrum(assemble(land, 0.2, g, "L-weighted"), count=25)
+        small_spectrum(assemble(land, 0.2, g), count=25)
+    with pytest.raises(ValueError, match="below 2"):
+        small_spectrum(assemble(land, 0.2, g), count=1)
