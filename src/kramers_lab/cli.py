@@ -237,7 +237,8 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
 
     sde_opts = _section(raw, "sde", ("trials", "radius"))
     trials = _number(sde_opts.get("trials", 500), "sde.trials", int)
-    _require(trials >= 1, "sde.trials", "needs at least one trial")
+    _require(trials >= 2, "sde.trials",
+             "needs at least two trials for a standard error")
     radius = _number(sde_opts.get("radius", 0.3), "sde.radius")
     _require(radius > 0, "sde.radius", "must be positive")
     export = _section(raw, "quasimode", ("export_fields",)).get(
@@ -320,7 +321,7 @@ class _Context:
             if "b" in spec else (zero, zero)
         nu = tuple(ex.parse(t, 2) for t in spec["nu"]) \
             if "nu" in spec else (zero, zero)
-        return Landscape(dimension=2, V=ex.parse(spec["V"], 2), b=b, nu=nu,
+        return Landscape(V=ex.parse(spec["V"], 2), b=b, nu=nu,
                          halfwidth=spec.get("box", 2.0))
 
 

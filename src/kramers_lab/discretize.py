@@ -80,11 +80,15 @@ class Grid:
     def index(self, i: int, j: int) -> int:
         return i * self.n + j
 
-    def node_of(self, point) -> int:
+    def ij_of(self, point) -> tuple[int, int]:
+        """(i, j) of the node nearest to ``point``, clipped to the box."""
         p = np.asarray(point, dtype=float)
         ij = np.clip(np.rint((p + self.halfwidth) / self.spacing).astype(int),
                      0, self.n - 1)
-        return self.index(int(ij[0]), int(ij[1]))
+        return int(ij[0]), int(ij[1])
+
+    def node_of(self, point) -> int:
+        return self.index(*self.ij_of(point))
 
     def boundary_mask(self) -> np.ndarray:
         m = np.zeros((self.n, self.n), dtype=bool)
@@ -137,20 +141,28 @@ def _peclet_guard(land: Landscape, h: float, grid: Grid, V, pts, criticals):
     sits in the fitted exponential weights), so the mesh Peclet number
     dx |b_h| / 2h is checked over the metastability region
     {V <= sigma_max + margin}; the potential far above every saddle only
-    feeds the positive fitted diagonal.
+    feeds the positive fitted diagonal.  |b_h| is sampled at the nodes, so
+    a finer grid can see a larger peak: the suggested n is refined until
+    this same check accepts it.
     """
     values = [c.value for c in criticals]
     saddle_vals = [c.value for c in criticals if c.is_saddle]
     sigma_max = max(saddle_vals) if saddle_vals else max(values)
-    margin = 0.25 * max(sigma_max - min(values), 1.0)
-    region = V <= sigma_max + margin
-    bh = land.b_h_at(pts[region], h)
-    if bh.size == 0:
-        return
-    peak = float(np.max(np.linalg.norm(bh, axis=1)))
-    pe = grid.spacing * peak / (2.0 * h)
-    if pe > 1.0:
-        need = int(math.ceil((grid.n - 1) * pe)) + 1
+    top = sigma_max + 0.25 * max(sigma_max - min(values), 1.0)
+
+    def peclet(g: Grid, nodes, V_nodes) -> float:
+        bh = land.b_h_at(nodes[V_nodes <= top], h)
+        peak = float(np.max(np.linalg.norm(bh, axis=1), initial=0.0))
+        return g.spacing * peak / (2.0 * h)
+
+    pe = pe_need = peclet(grid, pts, V)
+    need = grid.n
+    while pe_need > 1.0:
+        need = int(math.ceil((need - 1) * pe_need)) + 1
+        probe = Grid(grid.halfwidth, need)
+        nodes = probe.points()
+        pe_need = peclet(probe, nodes, land.V_at(nodes))
+    if need > grid.n:
         raise DiscretizationError(
             f"mesh Peclet number {pe:.2f} > 1 for the drift term; "
             f"refine the grid to n >= {need} or increase h"
@@ -160,8 +172,6 @@ def _peclet_guard(land: Landscape, h: float, grid: Grid, V, pts, criticals):
 def assemble(land: Landscape, h: float, grid: Grid,
              criticals=None) -> OperatorMatrix:
     """Build the flat form of the generator on the given grid."""
-    if land.dimension != 2:
-        raise DiscretizationError("PDE validation is two-dimensional only")
     if not 0 < h <= 1:
         raise DiscretizationError(f"h must lie in (0, 1], got {h}")
     report = validate_stationarity(land)

@@ -10,8 +10,8 @@ previously labelled minimum: the component E(m) is attached to its deepest
 minimum m, to the boundary saddles j(m), to the saddle value sigma(m) and to
 the barrier S(m) = sigma(m) - V(m).
 
-Connectivity is computed on a uniform grid with face adjacency
-(`label_components`: the connected components, found by
+Connectivity is computed on the box's uniform `discretize.Grid` with face
+adjacency (`label_components`: the connected components, found by
 `scipy.sparse.csgraph`, of the graph that joins neighbouring mask nodes);
 levels are only ever probed just below critical values, where the discrete
 topology is stable.  Components that contain no critical minimum (sub-grid
@@ -21,13 +21,13 @@ shards along a level set) are ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from .discretize import Grid
 from .landscape import CriticalPoint, Landscape
 
 __all__ = [
@@ -81,28 +81,13 @@ def flood_component(mask: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
 
 
 class SublevelTopology:
-    """V sampled on a uniform grid over the landscape box, with cached
+    """V sampled on the box's uniform ``Grid``, with cached
     connected-component labellings of strict sublevel sets."""
 
     def __init__(self, land: Landscape, resolution: int = 256):
-        if resolution < 16:
-            raise ValueError("resolution too small to resolve sublevel sets")
-        self.land = land
-        self.resolution = resolution
-        d, L = land.dimension, land.halfwidth
-        self.axes = tuple(np.linspace(-L, L, resolution) for _ in range(d))
-        self.spacing = 2 * L / (resolution - 1)
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        self.values = land.V_at(pts).reshape((resolution,) * d)
+        self.grid = grid = Grid(land.halfwidth, resolution)
+        self.values = land.V_at(grid.points()).reshape(grid.n, grid.n)
         self._labels_cache: dict[float, tuple[np.ndarray, int]] = {}
-
-    def node_of(self, point) -> tuple[int, ...]:
-        point = np.asarray(point, dtype=float)
-        L = self.land.halfwidth
-        idx = np.rint((point + L) / self.spacing).astype(int)
-        idx = np.clip(idx, 0, self.resolution - 1)
-        return tuple(int(i) for i in idx)
 
     def components(self, level: float) -> tuple[np.ndarray, int]:
         """Labelled components of {V < level}; label 0 is the complement."""
@@ -118,7 +103,7 @@ class SublevelTopology:
 
     def component_of(self, point, level: float) -> int:
         labels, _ = self.components(level)
-        return int(labels[self.node_of(point)])
+        return int(labels[self.grid.ij_of(point)])
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +122,10 @@ class SaddleSeparation:
 def _local_pockets(topo: SublevelTopology, s: CriticalPoint, level: float,
                    ball_steps: int) -> list[tuple[int, ...]]:
     """Deepest node of each component of B(s, ball_steps*dx) & {V < level}."""
-    center = topo.node_of(s.point)
+    center = topo.grid.ij_of(s.point)
     r = ball_steps
     slices = tuple(
-        slice(max(0, c - r), min(topo.resolution, c + r + 1)) for c in center
+        slice(max(0, c - r), min(topo.grid.n, c + r + 1)) for c in center
     )
     sub = topo.values[slices]
     offsets = np.indices(sub.shape)
@@ -176,7 +161,7 @@ def separating_saddles(
         if not s.is_saddle:
             continue
         lam1 = np.linalg.eigvalsh(s.hessian)[0]        # the negative one
-        eps = 0.5 * abs(lam1) * topo.spacing**2
+        eps = 0.5 * abs(lam1) * topo.grid.spacing**2
         level = s.value - eps
         pockets = _local_pockets(topo, s, level, ball_steps)
         if len(pockets) != 2:
@@ -192,10 +177,7 @@ def separating_saddles(
                 f"pocket node fell outside the sublevel set at saddle "
                 f"{s.point}; grid too coarse"
             )
-        grid_pts = tuple(
-            np.array([topo.axes[k][p[k]] for k in range(len(p))])
-            for p in pockets
-        )
+        grid_pts = tuple(topo.grid.axis[list(p)] for p in pockets)
         out.append(SaddleSeparation(
             saddle=s, level=level, pocket_points=grid_pts,
             separating=bool(la != lb),
@@ -246,7 +228,7 @@ class WellMap:
         if well.is_global:
             return np.ones_like(self.topo.values, dtype=bool)
         labels, _ = self.topo.components(well.level)
-        return labels == labels[self.topo.node_of(well.minimum.point)]
+        return labels == labels[self.topo.grid.ij_of(well.minimum.point)]
 
 
 def _deepest(minima: list[CriticalPoint]) -> CriticalPoint:
@@ -295,12 +277,12 @@ def label_minima(
         level = min(sep.level for sep in group)
         labels, _ = topo.components(level)
 
-        labelled_comps = {labels[topo.node_of(m.point)] for m in labelled}
+        labelled_comps = {labels[topo.grid.ij_of(m.point)] for m in labelled}
         remaining = [m for m in minima
                      if not any(m is x for x in labelled)]
         by_comp: dict[int, list[CriticalPoint]] = {}
         for m in remaining:
-            lab = labels[topo.node_of(m.point)]
+            lab = labels[topo.grid.ij_of(m.point)]
             if lab == 0:
                 continue  # this minimum sits above the current level
             by_comp.setdefault(int(lab), []).append(m)
@@ -313,8 +295,8 @@ def label_minima(
             sides = []
             for sep in group:
                 pa, pb = sep.pocket_points
-                la = labels[topo.node_of(pa)]
-                lb = labels[topo.node_of(pb)]
+                la = labels[topo.grid.ij_of(pa)]
+                lb = labels[topo.grid.ij_of(pb)]
                 if la == lab:
                     adjacent.append(sep)
                     sides.append((sep.saddle, pa, pb))
@@ -328,10 +310,10 @@ def label_minima(
                 )
             # The far side of any boundary saddle identifies the adjacent
             # component; its deepest minimum is m-hat.
-            far_labels = {labels[topo.node_of(far)] for _, _, far in sides}
+            far_labels = {labels[topo.grid.ij_of(far)] for _, _, far in sides}
             hat = None
             candidates = [mm for mm in minima
-                          if labels[topo.node_of(mm.point)] in far_labels]
+                          if labels[topo.grid.ij_of(mm.point)] in far_labels]
             if candidates:
                 hat = _deepest(candidates)
             wells.append(LabelledWell(
@@ -379,9 +361,9 @@ def check_generic(wm: WellMap) -> GenericityReport:
         if w.is_global:
             members = minima
         else:
-            lab = labels[wm.topo.node_of(w.minimum.point)]
+            lab = labels[wm.topo.grid.ij_of(w.minimum.point)]
             members = [m for m in minima
-                       if labels[wm.topo.node_of(m.point)] == lab]
+                       if labels[wm.topo.grid.ij_of(m.point)] == lab]
         values = sorted(m.value for m in members)
         if len(values) > 1 and values[1] - values[0] <= VALUE_TIE_TOL:
             violations.append(

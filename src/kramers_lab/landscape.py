@@ -1,4 +1,4 @@
-"""Morse landscapes: a potential V plus non-reversible fields (b, nu).
+"""Morse landscapes: a 2-D potential V plus non-reversible fields (b, nu).
 
 The generator under study is L = -h*lap + grad V . grad + b_h . grad with
 b_h = b + h*nu.  The fields must satisfy the stationarity identities
@@ -38,9 +38,9 @@ class MorseViolationError(LandscapeError):
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    point: np.ndarray          # shape (d,)
+    point: np.ndarray          # shape (2,)
     value: float               # V(point)
-    hessian: np.ndarray        # symmetric (d, d)
+    hessian: np.ndarray        # symmetric (2, 2)
     index: int                 # number of negative Hessian eigenvalues
 
     @property
@@ -58,9 +58,8 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class Landscape:
-    """Potential and perturbation fields on the box [-halfwidth, halfwidth]^d."""
+    """Potential and perturbation fields on the box [-halfwidth, halfwidth]^2."""
 
-    dimension: int
     V: ex.Expr
     b: tuple[ex.Expr, ...]
     nu: tuple[ex.Expr, ...]
@@ -68,8 +67,8 @@ class Landscape:
     name: str = "custom"
 
     def __post_init__(self):
-        if len(self.b) != self.dimension or len(self.nu) != self.dimension:
-            raise LandscapeError("b and nu must have one component per dimension")
+        if len(self.b) != 2 or len(self.nu) != 2:
+            raise LandscapeError("b and nu must have two components each")
         if not self.halfwidth > 0:
             raise LandscapeError("box halfwidth must be positive")
 
@@ -77,17 +76,17 @@ class Landscape:
 
     @cached_property
     def grad_V(self) -> tuple[ex.Expr, ...]:
-        return tuple(ex.gradient(self.V, self.dimension))
+        return tuple(ex.gradient(self.V, 2))
 
     @cached_property
     def hess_V(self) -> tuple[tuple[ex.Expr, ...], ...]:
-        return tuple(tuple(row) for row in ex.hessian(self.V, self.dimension))
+        return tuple(tuple(row) for row in ex.hessian(self.V, 2))
 
     @cached_property
     def jac_b(self) -> tuple[tuple[ex.Expr, ...], ...]:
         # jac_b[i][j] = d b_i / d x_j
         return tuple(
-            tuple(ex.differentiate(bi, j) for j in range(self.dimension))
+            tuple(ex.differentiate(bi, j) for j in range(2))
             for bi in self.b
         )
 
@@ -130,10 +129,9 @@ class Landscape:
 
     def hess_V_at(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n, d = pts.shape[0], self.dimension
-        H = np.empty((n, d, d))
-        for i in range(d):
-            for j in range(d):
+        H = np.empty((pts.shape[0], 2, 2))
+        for i in range(2):
+            for j in range(2):
                 H[:, i, j] = ex.evaluate_many(self.hess_V[i][j], pts)
         return 0.5 * (H + np.swapaxes(H, 1, 2))
 
@@ -150,10 +148,9 @@ class Landscape:
 
     def jac_b_at(self, point) -> np.ndarray:
         pt = np.asarray(point, dtype=float)[None, :]
-        d = self.dimension
-        B = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
+        B = np.empty((2, 2))
+        for i in range(2):
+            for j in range(2):
                 B[i, j] = ex.evaluate_many(self.jac_b[i][j], pt)[0]
         return B
 
@@ -180,10 +177,10 @@ def find_critical_points(land: Landscape) -> list[CriticalPoint]:
     Hessian eigenvalue of magnitude below 1e-6, and LandscapeError if
     nothing converged.
     """
-    d, L = land.dimension, land.halfwidth
-    axes = [np.linspace(-L, L, _SEED_RESOLUTION) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=-1)
+    L = land.halfwidth
+    axis = np.linspace(-L, L, _SEED_RESOLUTION)
+    X = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")],
+                 axis=-1)
 
     for _ in range(_MAX_ITERATIONS):
         G = land.grad_V_at(X)
@@ -208,8 +205,8 @@ def find_critical_points(land: Landscape) -> list[CriticalPoint]:
 
     G = land.grad_V_at(X)
     scale = 1.0 + np.max(np.abs(land.grad_V_at(
-        np.stack(np.meshgrid(*[np.linspace(-L, L, 9)] * d, indexing="ij"),
-                 axis=-1).reshape(-1, d))))
+        np.stack(np.meshgrid(*[np.linspace(-L, L, 9)] * 2, indexing="ij"),
+                 axis=-1).reshape(-1, 2))))
     converged = np.linalg.norm(G, axis=1) <= _GRADIENT_TOL * scale
     inside = np.max(np.abs(X), axis=1) < L * (1 - 1e-9)
     X = X[converged & inside]
@@ -272,7 +269,7 @@ def validate_stationarity(land: Landscape, seed: int = 0) -> StationarityReport:
     points; the check passes when every residual is at most 1e-10."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-land.halfwidth, land.halfwidth,
-                      size=(4096, land.dimension))
+                      size=(4096, 2))
     r1 = np.max(np.abs(ex.evaluate_many(land.b_dot_grad_V, pts)))
     r2 = np.max(np.abs(ex.evaluate_many(land.div_nu, pts)))
     mismatch = (ex.evaluate_many(land.div_b, pts)
@@ -334,5 +331,4 @@ def make_preset(name: str, c: float = 0.0, a: float = 0.5) -> Landscape:
     # J0 grad V = (dV/dy, -dV/dx)
     b = (cc * g[1], -(cc * g[0]))
     nu = (ex.constant(0.0), ex.constant(0.0))
-    return Landscape(dimension=2, V=V, b=b, nu=nu, halfwidth=halfwidth,
-                     name=name)
+    return Landscape(V=V, b=b, nu=nu, halfwidth=halfwidth, name=name)

@@ -117,10 +117,6 @@ def default_parameters(well: LabelledWell, wm: WellMap) -> tuple[float, float]:
     return rho0, delta0
 
 
-def _component_mask(values_2d, level, seed_ij):
-    return flood_component(values_2d < level, seed_ij).ravel()
-
-
 def build_cutoffs(
     well: LabelledWell,
     wm: WellMap,
@@ -164,9 +160,8 @@ def _cutoffs(well, data, land, grid, rho0, delta0) -> CutoffGeometry:
     eps = 0.5 * max(abs(d.lambda1) for d in data.values()) * grid.spacing**2
 
     if math.isfinite(well.prev_sigma):
-        seed = np.unravel_index(grid.node_of(well.minimum.point),
-                                (grid.n, grid.n))
-        e_lower = _component_mask(V2, well.prev_sigma - eps, seed)
+        e_lower = flood_component(V2 < well.prev_sigma - eps,
+                                  grid.ij_of(well.minimum.point)).ravel()
     else:
         e_lower = np.ones(grid.size, dtype=bool)
 
@@ -180,8 +175,8 @@ def _cutoffs(well, data, land, grid, rho0, delta0) -> CutoffGeometry:
             )
         t = (pts - sad.point) @ ds.xi
         slab = (np.abs(t) <= 3.0 * rho0) & (V <= sigma + 3.0 * delta0)
-        seed = np.unravel_index(grid.node_of(sad.point), (grid.n, grid.n))
-        cmask = flood_component(slab.reshape(grid.n, grid.n), seed).ravel()
+        cmask = flood_component(slab.reshape(grid.n, grid.n),
+                                grid.ij_of(sad.point)).ravel()
         tubes.append(SaddleTube(saddle=sad, data=ds, mask=cmask))
 
     tube_union = np.zeros(grid.size, dtype=bool)

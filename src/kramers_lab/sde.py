@@ -90,8 +90,9 @@ class SimulationConfig:
             raise SdeError(f"h must lie in (0, 1], got {self.h}")
         if self.dt <= 0.0:
             raise SdeError("dt must be positive")
-        if self.trials < 1:
-            raise SdeError("at least one trial is required")
+        if self.trials < 2:
+            raise SdeError("at least two trials are required for a "
+                           "standard error")
         if self.target_radius <= 0.0:
             raise SdeError("target radius must be positive")
         self.substeps  # validates the quantum

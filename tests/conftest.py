@@ -41,7 +41,6 @@ def tilted_nu():
     b . grad V = 0, div nu = 0 and div b = grad a . J0 grad V = nu . grad V.
     """
     return Analysis(Landscape(
-        dimension=2,
         V=ex.parse("(x^2 - 1)^2 + 0.5*x + y^2", 2),
         b=(ex.parse("(1 + x/2)*2*y", 2),
            ex.parse("-(1 + x/2)*(4*x^3 - 4*x + 0.5)", 2)),

@@ -193,7 +193,7 @@ def test_04_small_eigenvalue_counting(sym_double, triple):
     """Count below the observed gap = number of wells; magnitude bound."""
     h = 0.15
     zero = ex.parse("0", 2)
-    single = Landscape(dimension=2, V=ex.parse("x^2 + y^2", 2),
+    single = Landscape(V=ex.parse("x^2 + y^2", 2),
                        b=(zero, zero), nu=(zero, zero), halfwidth=2.0,
                        name="single_well")
     one = Analysis(single)
@@ -419,7 +419,7 @@ def test_09_symbolic_derivatives_and_stationarity():
         if not rep.passed:
             breaches.append(f"stationarity validator rejected preset {name}")
     zero = ex.parse("0", 2)
-    planted = Landscape(dimension=2, V=ex.parse("(x^2-1)^2 + y^2", 2),
+    planted = Landscape(V=ex.parse("(x^2-1)^2 + y^2", 2),
                         b=(ex.parse("x", 2), zero), nu=(zero, zero),
                         halfwidth=2.0, name="planted")
     if validate_stationarity(planted).passed:

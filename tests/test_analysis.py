@@ -17,7 +17,7 @@ from kramers_lab.landscape import Landscape
 
 def test_one_well_landscape_has_no_shallow_well():
     zero = ex.constant(0.0)
-    one = Analysis(Landscape(dimension=2, V=ex.parse("x^2 + y^2", 2),
+    one = Analysis(Landscape(V=ex.parse("x^2 + y^2", 2),
                              b=(zero, zero), nu=(zero, zero), halfwidth=2.0))
     with pytest.raises(ValueError, match="^the landscape has a single well, "
                        "so it has no non-global well to start from$"):

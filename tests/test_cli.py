@@ -99,7 +99,8 @@ def test_schema_rejections(tmp_path):
         ({"c": [None]}, r"c\[0\]: expected a number"),
         ({"seed": -1}, "seed: must be non-negative"),
         ({"seed": True}, "seed: expected an integer"),
-        ({"sde": {"trials": 0}}, "sde.trials: needs at least one"),
+        ({"sde": {"trials": 0}}, "sde.trials: needs at least two"),
+        ({"sde": {"trials": 1}}, "sde.trials: needs at least two"),
         ({"sde": {"radius": "wide"}}, "sde.radius: expected a number"),
         ({"sde": {"radius": 0}}, "sde.radius: must be positive"),
         ({"sde": 5}, "sde: must be an object"),
@@ -133,6 +134,8 @@ def test_schema_rejections(tmp_path):
          r"landscape\.nu: a preset fixes"),
         ({"landscape": {"preset": "tilted_double_well", "dimension": 2}},
          r"landscape\.dimension: a preset fixes"),
+        ({"landscape": {"dimension": 3, "V": "x^2 + y^2"}},
+         r"landscape\.dimension: only dimension 2 is supported"),
         ({"landscape": {"preset": "triple_well", "a": 0.3}},
          r"landscape\.a: the tilt applies to the tilted_double_well preset"),
         ({"landscape": {"preset": "sym_double_well", "a": 0.3}},

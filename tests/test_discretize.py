@@ -1,6 +1,7 @@
 """Finite-difference operator tests: assembly structure, spectra, decay."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from kramers_lab.saddle import predict_spectrum
 def _flat_landscape(text, halfwidth, b=None):
     zero = ex.constant(0.0)
     return Landscape(
-        dimension=2,
         V=ex.parse(text, 2),
         b=b if b is not None else (zero, zero),
         nu=(zero, zero),
@@ -49,6 +49,7 @@ def test_grid_layout():
     assert g.index(3, 5) == 3 * 21 + 5
     assert pts[g.index(3, 5)] == pytest.approx([-2.0 + 0.6, -2.0 + 1.0])
     assert g.node_of(pts[g.index(3, 5)]) == g.index(3, 5)
+    assert g.ij_of(pts[g.index(3, 5)]) == (3, 5)
     assert g.boundary_mask().sum() == 4 * 21 - 4
 
 
@@ -327,6 +328,16 @@ def test_peclet_refusal_suggests_refinement():
         assemble(land, 0.1, Grid(2.0, 64))
 
 
+def test_peclet_suggestion_passes_the_same_check():
+    # |b_h| is sampled only at the nodes, so a finer grid can see a larger
+    # peak; the refinement suggested from n = 32 must assemble
+    land = make_preset("tilted_double_well", c=1.0)
+    with pytest.raises(DiscretizationError, match=r"n >= \d+") as refusal:
+        assemble(land, 0.3, Grid(2.0, 32))
+    n = int(re.search(r"n >= (\d+)", str(refusal.value)).group(1))
+    assert assemble(land, 0.3, Grid(2.0, n)).grid.n == n
+
+
 def test_critical_point_near_boundary_refused():
     # left minimum sits at x ~ -1.057; a box of halfwidth 1.2 leaves less
     # than 4 grid steps of margin at n = 48
@@ -347,7 +358,7 @@ def test_stationarity_refusal_names_the_failing_residual(tilted_nu):
     # identity, div b = nu . grad V, fails
     land = tilted_nu.land
     zero = ex.constant(0.0)
-    dropped = Landscape(dimension=2, V=land.V, b=land.b, nu=(zero, zero),
+    dropped = Landscape(V=land.V, b=land.b, nu=(zero, zero),
                         halfwidth=land.halfwidth)
     with pytest.raises(DiscretizationError,
                        match=r"div b - nu\.grad V\| = [12]\.\d+e\+00; "

@@ -33,7 +33,6 @@ def build(name, **kw):
 # channel's saddle sees both of its descent pockets in an already-connected
 # sublevel component.
 QUARTET = Landscape(
-    dimension=2,
     V=ex.parse("(x^2 - 1)^2 + (y^2 - 1)^2 + 0.1*y + 0.03*x", 2),
     b=(ex.constant(0.0), ex.constant(0.0)),
     nu=(ex.constant(0.0), ex.constant(0.0)),
@@ -175,8 +174,8 @@ def test_wellmap_invariants_and_masks():
             if w.is_global:
                 continue
             mask = wm.E_mask(w)
-            assert mask[topo.node_of(w.minimum.point)]
-            assert not mask[topo.node_of(glob.minimum.point)]
+            assert mask[topo.grid.ij_of(w.minimum.point)]
+            assert not mask[topo.grid.ij_of(glob.minimum.point)]
 
 
 def test_grid_refinement_stability():
@@ -231,10 +230,10 @@ def test_flood_component_and_guards():
     land, cps, topo = build("tilted_double_well")
     saddle = next(cp for cp in cps if cp.is_saddle)
     mask = topo.values < saddle.value - 0.01
-    comp = flood_component(mask, topo.node_of([-1.05, 0.0]))
+    comp = flood_component(mask, topo.grid.ij_of([-1.05, 0.0]))
     assert comp.sum() < mask.sum()
     with pytest.raises(LabellingError):
-        flood_component(mask, topo.node_of([saddle.point[0], 1.9]))
+        flood_component(mask, topo.grid.ij_of([saddle.point[0], 1.9]))
     with pytest.raises(ValueError):
         SublevelTopology(land, resolution=8)
     with pytest.raises(LabellingError, match="grid too coarse|ambiguous"):

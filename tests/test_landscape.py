@@ -79,7 +79,6 @@ def test_gradient_vanishes_and_hessian_is_symmetric():
 
 def test_degenerate_potential_raises_morse_violation():
     land = Landscape(
-        dimension=2,
         V=ex.parse("x^4 + y^2", 2),
         b=(ex.constant(0.0), ex.constant(0.0)),
         nu=(ex.constant(0.0), ex.constant(0.0)),
@@ -91,7 +90,6 @@ def test_degenerate_potential_raises_morse_violation():
 
 def test_no_critical_points_in_box_raises():
     land = Landscape(
-        dimension=2,
         V=ex.parse("(x - 5)^2 + y^2", 2),
         b=(ex.constant(0.0), ex.constant(0.0)),
         nu=(ex.constant(0.0), ex.constant(0.0)),
@@ -112,7 +110,7 @@ def test_stationarity_with_nu_drift(tilted_nu):
     land = tilted_nu.land
     assert validate_stationarity(land).passed
     zero = ex.constant(0.0)
-    dropped = Landscape(dimension=2, V=land.V, b=land.b, nu=(zero, zero),
+    dropped = Landscape(V=land.V, b=land.b, nu=(zero, zero),
                         halfwidth=land.halfwidth)
     report = validate_stationarity(dropped)
     assert not report.passed
@@ -126,7 +124,6 @@ def test_stationarity_fails_on_planted_gradient_field():
     # b = grad V violates b . grad V = 0 wherever grad V != 0.
     land = make_preset("sym_double_well")
     bad = Landscape(
-        dimension=2,
         V=land.V,
         b=tuple(ex.gradient(land.V, 2)),
         nu=(ex.constant(0.0), ex.constant(0.0)),
@@ -141,7 +138,6 @@ def test_stationarity_fails_on_bad_divergence():
     # b = (x, y) has div b = 2 but nu = 0; also fails b . grad V = 0.
     land = make_preset("sym_double_well")
     bad = Landscape(
-        dimension=2,
         V=land.V,
         b=(ex.parse("x", 2), ex.parse("y", 2)),
         nu=(ex.constant(0.0), ex.constant(0.0)),
@@ -164,7 +160,6 @@ def test_local_antisymmetric_factor_recovers_rotation(c):
 def test_local_antisymmetric_factor_rejects_gradient_field():
     land = make_preset("sym_double_well")
     bad = Landscape(
-        dimension=2,
         V=land.V,
         b=tuple(ex.gradient(land.V, 2)),
         nu=(ex.constant(0.0), ex.constant(0.0)),

@@ -43,6 +43,9 @@ def test_config_rejects_bad_parameters(tilted_c0):
         make_config(land, wm, 1.5)
     with pytest.raises(SdeError, match="trial"):
         make_config(land, wm, 0.2, trials=0)
+    # one trial leaves the standard error undefined (ddof = 1)
+    with pytest.raises(SdeError, match="two trials"):
+        make_config(land, wm, 0.2, trials=1)
     with pytest.raises(SdeError, match="radius"):
         make_config(land, wm, 0.2, radius=-0.1)
     # noise quantum must divide dt
@@ -133,7 +136,7 @@ def _reflecting_box() -> SimulationConfig:
     # a box just wider than the wells: paths reflect off the walls often,
     # before and after they reach the target
     zero = ex.constant(0.0)
-    land = Landscape(dimension=2, V=ex.parse("(x^2-1)^2 + y^2", 2),
+    land = Landscape(V=ex.parse("(x^2-1)^2 + y^2", 2),
                      b=(zero, zero), nu=(zero, zero), halfwidth=1.3)
     return SimulationConfig(land=land, h=0.5, dt=1e-2, trials=40, seed=3,
                             start=np.array([1.0, 0.0]),
