@@ -35,14 +35,16 @@ landscape work and shares most of its pages with it; it holds about
 10 MB of its own on the 200-instance default (see README).  It stays
 alive while the spectrum stage fans out its small-spectrum solves and
 the sde stage its shards, both through ``forked.starmap``.  A run whose
-earlier stage fails stops the worker.  ``kramers-lab selftest`` runs the
-self-test in-process; like ``run`` it refuses ``--instances`` below 1
+earlier stage fails stops the worker.  ``kramers-lab selftest`` runs
+``graded.measure_instances`` in-process and summarizes the measurements
+with ``graded.selftest``; like ``run`` it refuses ``--instances`` below 1
 and a negative ``--seed`` with exit code 2.
 
 Every run writes run_manifest.json (config, versions, stage outcomes);
 data files are CSV with a fixed number format, so identical config + seed
 reproduce byte-identical bodies.  Exit codes: 0 all stage assertions
-passed, 1 a stage failed, 2 config/usage error.
+passed, 1 a stage failed, 2 config/usage error (an ``out`` the run cannot
+create as a directory included).
 """
 
 from __future__ import annotations
@@ -227,6 +229,7 @@ def parse_config(path: Path, overrides: dict | None = None) -> RunConfig:
     for x in h:
         _require(0.0 < x <= 1.0, "h", f"h values must lie in (0, 1], got {x}")
     c = _numbers(raw.get("c", [0.0]), "c")
+    _require(len(c) > 0, "c", "at least one c value is required")
     if land is not None and "preset" not in land:
         _require(c == (0.0,), "c",
                  "a c sweep applies to preset landscapes only")
@@ -330,14 +333,13 @@ def _stage_analyze(ctx: _Context) -> list[str]:
     rows = []
     for c in cfg.c:
         ana = ctx.analysis(c)
-        land = ana.land
-        station = validate_stationarity(land, seed=cfg.seed)
+        station = validate_stationarity(ana.land, seed=cfg.seed)
         if not station.passed:
             raise StageFailure(
                 "analyze: drift field violates stationarity of exp(-V/h): "
                 + station.describe())
         wm, data = ana.wm, ana.data
-        preds = {h: predict_spectrum(land, wm, h, data) for h in cfg.h}
+        preds = {h: predict_spectrum(wm, data, h) for h in cfg.h}
         for i in range(len(wm.wells)):
             base = preds[cfg.h[0]][i]
             row = [c,
@@ -373,7 +375,7 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
     rows = []
     for c in cfg.c:
         ana = ctx.analysis(c)
-        land, wm, data = ana.land, ana.wm, ana.data
+        wm, data = ana.wm, ana.data
         n0 = len(wm.wells)
         for h in cfg.h:
             res = ana.spectrum(h, cfg.grid_n)
@@ -381,7 +383,7 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
                 raise StageFailure(
                     f"spectrum: cluster size {res.n0_observed} != number of "
                     f"labelled wells {n0} at h={_fmt(h)}, c={_fmt(c)}")
-            ek = sorted(p.lam for p in predict_spectrum(land, wm, h, data))
+            ek = sorted(p.lam for p in predict_spectrum(wm, data, h))
             for k in range(n0):
                 lam = res.eigenvalues[k]
                 ratio = lam.real / ek[k] if ek[k] > 0 else ""
@@ -419,7 +421,7 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
                 qm = build_quasimode(well, geom, ana.operator(h, cfg.grid_n))
                 forms = dirichlet_and_residuals(qm)
                 norm_pred = predicted_norm_sq(well, wm, h)
-                dir_pred = predicted_dirichlet(well, wm, data, h)
+                dir_pred = predicted_dirichlet(well, data, h)
                 norm_ratio = qm.norm**2 / norm_pred
                 rows.append([
                     c, h, well.round_index, qm.norm**2, norm_pred,
@@ -480,8 +482,7 @@ def _stage_sde(ctx: _Context) -> list[str]:
 
 def _stage_graded(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
-    report = graded_selftest(cfg.graded_instances, cfg.seed,
-                             measured=ctx.graded.result())
+    report = graded_selftest(ctx.graded.result())
     with open(cfg.out / "graded_selftest.json", "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
@@ -525,7 +526,12 @@ def _versions() -> dict:
 
 def run(cfg: RunConfig) -> int:
     """Execute the configured stages; returns the process exit code."""
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"config error: out: cannot create {cfg.out}: "
+              f"{e.strerror or e}", file=sys.stderr)
+        return 2
     ctx = _Context(cfg)
     stage_records = []
     failed = False
@@ -617,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
             p_self.error("--instances needs at least one instance")
         if args.seed < 0:
             p_self.error("--seed must be non-negative")
-        report = graded_selftest(instances=args.instances, seed=args.seed)
+        report = graded_selftest(measure_instances(args.instances, args.seed))
         print(json.dumps(report, indent=2))
         try:
             _check_graded_report(report)

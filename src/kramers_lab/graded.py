@@ -243,6 +243,7 @@ class Cluster:
 class ClusterReport:
     clusters: tuple
     eigenvalues: np.ndarray
+    assignment: np.ndarray    # index into clusters of each eigenvalue's disc
     resolvent_probes: tuple   # (z, ||(M-z)^-1|| * dist(z, sigma(M))) pairs
 
 
@@ -298,14 +299,16 @@ def localized_spectrum(M, structure: GradedStructure) -> ClusterReport:
                 )
 
     eigenvalues = np.linalg.eigvals(M)
+    assignment = []
     for lam in eigenvalues:
-        hit = [c for c in clusters if abs(lam - c[1]) <= c[2]]
+        hit = [k for k, c in enumerate(clusters) if abs(lam - c[1]) <= c[2]]
         if not hit:
             raise GradedError(
                 f"eigenvalue {lam:.8g} lies outside every cluster disc; "
                 "tau or h too large for the localization theorem"
             )
-        hit[0][4] += 1
+        clusters[hit[0]][4] += 1
+        assignment.append(hit[0])
 
     report_clusters = []
     for j, center, radius, expected, count in clusters:
@@ -328,6 +331,7 @@ def localized_spectrum(M, structure: GradedStructure) -> ClusterReport:
     assert sum(c.count for c in report_clusters) == structure.size
     return ClusterReport(clusters=tuple(report_clusters),
                          eigenvalues=eigenvalues,
+                         assignment=np.array(assignment),
                          resolvent_probes=tuple(probes))
 
 
@@ -376,11 +380,8 @@ def random_instance(rng, p_max: int = 4, r_max: int = 4):
 
 def _cluster_distances(report: ClusterReport) -> np.ndarray:
     """Distance of each eigenvalue to the center of its cluster."""
-    out = []
-    for lam in report.eigenvalues:
-        c = min(report.clusters, key=lambda c: abs(lam - c.center))
-        out.append(abs(lam - c.center))
-    return np.array(out)
+    return np.array([abs(lam - report.clusters[k].center)
+                     for lam, k in zip(report.eigenvalues, report.assignment)])
 
 
 def _measure_instance(rng):
@@ -396,12 +397,9 @@ def _measure_instance(rng):
         report = localized_spectrum(M, structure)
     except GradedError:
         return None
-    eps2 = structure.epsilons ** 2
+    blocks = np.array([report.clusters[k].block for k in report.assignment])
     dists = _cluster_distances(report)
-    scale = np.array([
-        eps2[min(report.clusters, key=lambda c: abs(l - c.center)).block - 1]
-        for l in report.eigenvalues
-    ])
+    scale = (structure.epsilons ** 2)[blocks - 1]
     k_needed = float(np.max(dists / (scale * structure.h)))
     probe = max((r for _, r in report.resolvent_probes), default=0.0)
 
@@ -415,43 +413,32 @@ def _measure_instance(rng):
     peeled = spectrum_by_peeling(M, structure)
     err = 0.0
     for j, cl_lams in enumerate(peeled, start=1):
-        dense = np.array([
-            l for l in report.eigenvalues
-            if min(report.clusters, key=lambda c: abs(l - c.center)).block == j
-        ])
         a = np.sort_complex(np.asarray(cl_lams))
-        b = np.sort_complex(dense)
+        b = np.sort_complex(report.eigenvalues[blocks == j])
         err = max(err, float(np.max(np.abs(a - b) / np.abs(b))))
     return k_needed, shrink, err, probe
 
 
-def measure_instances(instances: int = 200, seed: int = 0) -> list:
+def measure_instances(instances: int, seed: int) -> list:
     """The per-instance measurements ``selftest`` summarizes, in order."""
     rng = np.random.default_rng(seed)
     return [_measure_instance(rng) for _ in range(instances)]
 
 
-def selftest(instances: int = 200, seed: int = 0,
-             measured: list | None = None) -> dict:
+def selftest(measured: list) -> dict:
     """Monte-Carlo verification of the localization theorem.
 
-    Returns a JSON-friendly report: cluster-count failures, the smallest
-    disc constant K that would have captured every instance, first-order
-    shrinking of eigenvalue clusters in h, agreement of peeled and dense
-    spectra, and resolvent-probe statistics.  ``measured`` is what
-    ``measure_instances`` returned for the same arguments when it ran
-    elsewhere (the CLI runs it in a worker process); None measures here.
+    Summarizes what ``measure_instances`` returned (the CLI runs it in a
+    worker process) as a JSON-friendly report: cluster-count failures, the
+    smallest disc constant K that would have captured every instance,
+    first-order shrinking of eigenvalue clusters in h, agreement of peeled
+    and dense spectra, and resolvent-probe statistics.
     """
-    if measured is None:
-        measured = measure_instances(instances, seed)
-    if len(measured) != instances:
-        raise ValueError(f"measured holds {len(measured)} instances, "
-                         f"not {instances}")
     done = [m for m in measured if m is not None]
     k_needed, shrink_ratios, peel_errors, probes = (
         [m[i] for m in done] for i in range(4))
     return {
-        "instances": instances,
+        "instances": len(measured),
         "failures": len(measured) - len(done),
         "smallest_K_capturing_all": float(np.max(k_needed)) if k_needed else None,
         "median_K_needed": float(np.median(k_needed)) if k_needed else None,

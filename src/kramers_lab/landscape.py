@@ -13,7 +13,6 @@ points, and ships the preset catalog used throughout the validation suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 

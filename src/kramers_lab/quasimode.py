@@ -413,7 +413,7 @@ def predicted_norm_sq(well: LabelledWell, wm: WellMap, h: float) -> float:
     return pred
 
 
-def predicted_dirichlet(well: LabelledWell, wm: WellMap,
+def predicted_dirichlet(well: LabelledWell,
                         data: Mapping[int, SaddleSpectralData],
                         h: float) -> float:
     """<L phi, phi> asymptotics: the Eyring-Kramers rate

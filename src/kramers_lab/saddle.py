@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .labelling import GenericityReport, LabelledWell, WellMap, check_generic
+from .labelling import LabelledWell, WellMap, check_generic
 from .landscape import CriticalPoint, Landscape
 
 _REAL_TOL = 1e-10
@@ -217,13 +217,11 @@ def prefactor(
     well: LabelledWell,
     wm: WellMap,
     data: Mapping[int, SaddleSpectralData],
-    report: GenericityReport | None = None,
 ) -> float:
     """zeta(m) for a non-global labelled well."""
     if well.is_global:
         raise ValueError("the global minimum has no escape prefactor")
-    if report is None:
-        report = check_generic(wm)
+    report = check_generic(wm)
     if not report.generic and not report.double_well_equal_depth:
         raise UnsupportedCaseError(
             "sharp prefactor requires a generic well map or the equal-depth "
@@ -241,28 +239,25 @@ def prefactor(
 
 
 def predict_spectrum(
-    land: Landscape,
     wm: WellMap,
+    data: Mapping[int, SaddleSpectralData],
     h: float,
-    data: Mapping[int, SaddleSpectralData] | None = None,
 ) -> list[EkPrediction]:
     """One prediction per labelled minimum, in labelling (round) order.
 
-    The global minimum gets the exact kernel eigenvalue 0; every other well
-    m gets zeta(m) * exp(-S(m)/h).
+    ``data`` is the ``transverse_map`` of the well map.  The global minimum
+    gets the exact kernel eigenvalue 0; every other well m gets
+    zeta(m) * exp(-S(m)/h).
     """
     if not 0.0 < h <= 1.0:
         raise ValueError(f"h must lie in (0, 1], got {h}")
-    if data is None:
-        data = transverse_map(land, wm)
-    report = check_generic(wm)
     out: list[EkPrediction] = []
     for w in sorted(wm.wells, key=lambda w: w.round_index):
         if w.is_global:
             out.append(EkPrediction(minimum=w.minimum, S=math.inf,
                                     zeta=0.0, lam=0.0, h=h))
         else:
-            z = prefactor(w, wm, data, report)
+            z = prefactor(w, wm, data)
             out.append(EkPrediction(minimum=w.minimum, S=w.barrier, zeta=z,
                                     lam=z * math.exp(-w.barrier / h), h=h))
     return out

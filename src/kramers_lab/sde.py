@@ -142,7 +142,7 @@ def make_config(
     wm: WellMap,
     h: float,
     *,
-    start_well: LabelledWell | None = None,
+    start_well: LabelledWell,
     radius: float = 0.3,
     dt: float | None = None,
     trials: int = 2000,
@@ -151,19 +151,12 @@ def make_config(
 ) -> SimulationConfig:
     """Config for the hitting run m -> ball(global minimum, radius).
 
-    The closed target ball must sit inside {V < sigma(start well)}; being
-    connected and containing the global minimum it then automatically lies
-    in the right sublevel component.  dt defaults to the guard value
-    min(h, 1) / (10 max|U_h|).
+    ``start_well`` is a non-global well of ``wm`` (the CLI passes
+    ``Analysis.shallow_well``).  The closed target ball must sit inside
+    {V < sigma(start well)}; being connected and containing the global
+    minimum it then automatically lies in the right sublevel component.
+    dt defaults to the guard value min(h, 1) / (10 max|U_h|).
     """
-    if start_well is None:
-        candidates = [w for w in wm.wells if not w.is_global]
-        if len(candidates) != 1:
-            raise SdeError(
-                "start_well must be given when the landscape has "
-                f"{len(candidates)} non-global wells"
-            )
-        start_well = candidates[0]
     if start_well.is_global:
         raise SdeError("the start well must be a non-global minimum")
 

@@ -61,7 +61,8 @@ def sde_tilted(tilted_c0, tilted_c1):
 
     runs = {}
     for tag, ana in (("c0", tilted_c0), ("c1", tilted_c1)):
-        cfg = make_config(ana.land, ana.wm, 0.2, trials=2000, seed=0)
+        cfg = make_config(ana.land, ana.wm, 0.2,
+                          start_well=ana.shallow_well, trials=2000, seed=0)
         runs[tag] = (cfg, hitting_time_stats(cfg))
         half = halved_dt(cfg)
         runs[tag + "_half"] = (half, hitting_time_stats(half))
@@ -75,6 +76,8 @@ def sde_arrhenius(tilted_c0):
 
     out = {}
     for h in (0.15, 0.25):
-        cfg = make_config(tilted_c0.land, tilted_c0.wm, h, trials=2000, seed=0)
+        cfg = make_config(tilted_c0.land, tilted_c0.wm, h,
+                          start_well=tilted_c0.shallow_well, trials=2000,
+                          seed=0)
         out[h] = hitting_time_stats(cfg)
     return out

@@ -41,7 +41,7 @@ from kramers_lab.discretize import (
     small_spectrum,
 )
 from kramers_lab.expr import EvalError, differentiate, evaluate
-from kramers_lab.graded import selftest
+from kramers_lab.graded import measure_instances, selftest
 from kramers_lab.landscape import (
     CriticalPoint,
     Landscape,
@@ -125,7 +125,7 @@ def test_01_transverse_saddle_structure():
 def test_02_graded_localization_selftest():
     """200 random graded matrices against a dense eigensolver oracle."""
     t0 = time.perf_counter()
-    rep = selftest(instances=200, seed=0)
+    rep = selftest(measure_instances(200, 0))
     wall = time.perf_counter() - t0
     breaches = []
     if rep["failures"] != 0:
@@ -158,7 +158,7 @@ def test_03_rate_asymptotics_tilted(tilted_c0, tilted_c1):
             lam2 = float(np.sort(small_spectrum(bu.operator(h, 192), 4)
                                  .eigenvalues.real)[1])
             ek = next(p.lam for p in
-                      predict_spectrum(bu.land, bu.wm, h, data=bu.data)
+                      predict_spectrum(bu.wm, bu.data, h)
                       if p.lam > 0.0)
             lam[tag, h] = lam2
             devs[tag, h] = abs(lam2 / ek - 1.0)
@@ -254,7 +254,7 @@ def test_05_quasimode_forms(tilted_geom, tilted_c0, triple):
         if not 1.0 / (1.0 + 10.0 * h) <= nr <= 1.0 + 10.0 * h:
             breaches.append(f"h={h}: norm ratio {nr:.3f} outside (1+10h)")
         forms = dirichlet_and_residuals(qm)
-        phi_pred = predicted_dirichlet(well, tilted_c0.wm, tilted_c0.data, h)
+        phi_pred = predicted_dirichlet(well, tilted_c0.data, h)
         dr = forms.dirichlet_phi / phi_pred
         form_dev = max(form_dev, abs(dr - 1.0))
         if not 1.0 / (1.0 + 10.0 * h) <= dr <= 1.0 + 10.0 * h:

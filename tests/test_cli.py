@@ -149,6 +149,15 @@ def test_schema_rejections(tmp_path):
         ({"out": 5}, "out: expected a path string, got 5"),
         ({"h": [0.2, 0.2]}, "h: repeats a value"),
         ({"c": [0, 0]}, "c: repeats a value"),
+        ({"c": []}, "c: at least one c value is required"),
+        # checked before the rule that a custom landscape takes no c sweep
+        ({"landscape": {"V": "x^2 + y^2"}, "c": []},
+         "c: at least one c value is required"),
+        ({"landscape": {"V": "x^2 + z^2"}},
+         r"landscape\.V: variable 'z' out of range for dimension 2 "
+         "at offset 6"),
+        ({"landscape": {"V": "x^2 + y^2", "b": ["y", "-x3"]}},
+         r"landscape\.b\[1\]: variable 'x3' out of range for dimension 2"),
     ]:
         with pytest.raises(ConfigError, match=where):
             parse_config(_write_cfg(tmp_path, **{**base, **override}))
@@ -179,7 +188,7 @@ def test_analyze_emits_the_labelled_catalog(tilted_run):
     assert by_x[0][4] == "inf" and float(by_x[0][6]) == 0.0
     # shallow well matches the library prediction exactly
     ana = Analysis(make_preset("tilted_double_well"))
-    pred = [p for p in predict_spectrum(ana.land, ana.wm, 0.2)
+    pred = [p for p in predict_spectrum(ana.wm, ana.data, 0.2)
             if p.S != np.inf][0]
     assert float(by_x[1][5]) == pytest.approx(pred.zeta, rel=1e-10)
     assert float(by_x[1][6]) == pytest.approx(pred.lam, rel=1e-10)
@@ -305,7 +314,8 @@ def test_graded_report_is_the_same_beside_the_landscape_stages(tmp_path):
                          out=str(out))
         assert main(["run", str(cfg)]) == 0
         reports.append((out / "graded_selftest.json").read_bytes())
-    direct = json.dumps(graded.selftest(instances=20, seed=5), indent=2)
+    direct = json.dumps(graded.selftest(graded.measure_instances(20, 5)),
+                        indent=2)
     assert reports[0] == reports[1] == (direct + "\n").encode()
 
 
@@ -532,6 +542,22 @@ def test_cli_overrides(tmp_path):
     assert (out / "ek_table.csv").exists()
     assert not (out / "spectrum_sweep.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("via", ["config", "--out"])
+@pytest.mark.parametrize("where", ["under-a-file", "a-file"])
+def test_uncreatable_out_is_a_usage_error(via, where, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker / "run" if where == "under-a-file" else blocker
+    opts = {"out": str(out)} if via == "config" else {}
+    cfg = _write_cfg(tmp_path, stages=["graded-selftest"],
+                     graded={"instances": 2}, **opts)
+    argv = ["run", str(cfg)] + (["--out", str(out)] if via == "--out" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: out: cannot create {out}: ")
+    assert blocker.read_text() == "a regular file\n"
 
 
 def test_selftest_subcommand(capsys):

@@ -206,8 +206,8 @@ def test_nu_drift_spectrum_matches_prediction(tilted_nu):
     # constants stay in the kernel up to the O(dx^2) defect (|lambda_0| /
     # lambda_1 is 1e-4 here); losing either nu term takes it above 0.1
     assert abs(s.eigenvalues[0]) <= 1e-3 * s.eigenvalues[1].real
-    ek = max(p.lam for p in predict_spectrum(tilted_nu.land, tilted_nu.wm, h,
-                                             tilted_nu.data))
+    ek = max(p.lam for p in predict_spectrum(tilted_nu.wm, tilted_nu.data,
+                                             h))
     assert abs(s.eigenvalues[1].real / ek - 1.0) <= 3.0 * math.sqrt(h)
 
 

@@ -14,6 +14,7 @@ from kramers_lab.graded import (
     assemble_graded,
     default_K,
     localized_spectrum,
+    measure_instances,
     peel,
     random_instance,
     selftest,
@@ -88,7 +89,7 @@ def test_quadratic_two_cluster_example():
 
 
 def test_localized_spectrum_batch_with_shrink_and_peel_agreement():
-    report = selftest(instances=200, seed=0)
+    report = selftest(measure_instances(200, 0))
     assert report["failures"] == 0
     assert report["min_shrink_ratio_h_over_h10"] >= 5.0
     assert report["max_peel_vs_dense_relative_error"] <= 1e-8

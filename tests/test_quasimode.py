@@ -292,7 +292,7 @@ def test_dirichlet_form_matches_rate_prediction(tilted_geom, tilted_c0):
     for h in (0.05, 0.1, 0.2):
         qm = build_quasimode(well, tilted_geom, tilted_c0.operator(h, N))
         forms = dirichlet_and_residuals(qm)
-        phi_pred = predicted_dirichlet(well, tilted_c0.wm, tilted_c0.data, h)
+        phi_pred = predicted_dirichlet(well, tilted_c0.data, h)
         ratio = forms.dirichlet_phi / phi_pred
         assert 1.0 / (1.0 + 10.0 * h) <= ratio <= 1.0 + 10.0 * h
         ratios.append(ratio)
@@ -343,7 +343,7 @@ def test_nonreversible_dirichlet_uses_transverse_rate(tilted_geom_c1,
     for h in (0.1, 0.2):
         qm = build_quasimode(well, tilted_geom_c1, tilted_c1.operator(h, N))
         forms = dirichlet_and_residuals(qm)
-        phi_pred = predicted_dirichlet(well, tilted_c1.wm, tilted_c1.data, h)
+        phi_pred = predicted_dirichlet(well, tilted_c1.data, h)
         ratio = forms.dirichlet_phi / phi_pred
         assert 1.0 / (1.0 + 10.0 * h) <= ratio <= 1.0 + 10.0 * h
 

@@ -168,19 +168,19 @@ def test_equal_depth_double_well_prefactor(c, zeta_exact):
 
 
 def test_tilted_prefactor_and_predictions(tilted_c0):
-    land, wm, data = tilted_c0.land, tilted_c0.wm, tilted_c0.data
+    wm, data = tilted_c0.wm, tilted_c0.data
     well = tilted_c0.shallow_well
     zeta = prefactor(well, wm, data)
     assert zeta == pytest.approx(0.7847783, rel=1e-6)
 
-    preds = predict_spectrum(land, wm, h=0.1, data=data)
+    preds = predict_spectrum(wm, data, h=0.1)
     assert [p.S for p in preds] == sorted((p.S for p in preds), reverse=True)
     assert preds[0].lam == 0.0 and math.isinf(preds[0].S)
     lam = preds[1].lam
     assert lam == pytest.approx(zeta * math.exp(-well.barrier / 0.1), rel=1e-14)
     assert lam == pytest.approx(0.0032638, rel=1e-4)
     # h -> 0 monotonicity
-    lam2 = predict_spectrum(land, wm, h=0.2, data=data)[1].lam
+    lam2 = predict_spectrum(wm, data, h=0.2)[1].lam
     assert lam < lam2
 
 
@@ -205,7 +205,7 @@ def test_prefactor_is_additive_over_boundary_saddles(tilted_c0):
 
 
 def test_triple_well_predictions_follow_rounds(triple):
-    preds = predict_spectrum(triple.land, triple.wm, h=0.15, data=triple.data)
+    preds = predict_spectrum(triple.wm, triple.data, h=0.15)
     assert len(preds) == 3
     assert math.isinf(preds[0].S)
     assert preds[1].S == pytest.approx(0.361456, abs=1e-5)

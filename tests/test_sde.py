@@ -34,20 +34,21 @@ def _lambda2(ana, h, n=96):
 
 def test_config_rejects_bad_parameters(tilted_c0):
     land, wm = tilted_c0.land, tilted_c0.wm
-    guard_ok = make_config(land, wm, 0.2, trials=10)
+    start = tilted_c0.shallow_well
+    guard_ok = make_config(land, wm, 0.2, start_well=start, trials=10)
     assert guard_ok.dt > 0
 
     with pytest.raises(SdeError, match="guard"):
-        make_config(land, wm, 0.2, dt=10 * guard_ok.dt)
+        make_config(land, wm, 0.2, start_well=start, dt=10 * guard_ok.dt)
     with pytest.raises(SdeError, match="h must"):
-        make_config(land, wm, 1.5)
+        make_config(land, wm, 1.5, start_well=start)
     with pytest.raises(SdeError, match="trial"):
-        make_config(land, wm, 0.2, trials=0)
+        make_config(land, wm, 0.2, start_well=start, trials=0)
     # one trial leaves the standard error undefined (ddof = 1)
     with pytest.raises(SdeError, match="two trials"):
-        make_config(land, wm, 0.2, trials=1)
+        make_config(land, wm, 0.2, start_well=start, trials=1)
     with pytest.raises(SdeError, match="radius"):
-        make_config(land, wm, 0.2, radius=-0.1)
+        make_config(land, wm, 0.2, start_well=start, radius=-0.1)
     # noise quantum must divide dt
     with pytest.raises(SdeError, match="quantum"):
         dataclasses.replace(guard_ok, noise_quantum=guard_ok.dt * 0.3)
@@ -56,11 +57,13 @@ def test_config_rejects_bad_parameters(tilted_c0):
 def test_target_ball_must_stay_below_the_barrier(tilted_c0):
     # the saddle sits at sigma ~ 1.03; a radius-1.5 ball pokes far above it
     with pytest.raises(SdeError, match="shrink the radius"):
-        make_config(tilted_c0.land, tilted_c0.wm, 0.2, radius=1.5)
+        make_config(tilted_c0.land, tilted_c0.wm, 0.2,
+                    start_well=tilted_c0.shallow_well, radius=1.5)
 
 
 def test_start_well_selection(tilted_c0, triple):
-    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=10)
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
+                      start_well=tilted_c0.shallow_well, trials=10)
     # tilted well: the shallow minimum is the one at x > 0
     assert cfg.start[0] > 0
     assert cfg.target_center[0] < 0
@@ -68,9 +71,7 @@ def test_start_well_selection(tilted_c0, triple):
     with pytest.raises(SdeError, match="non-global"):
         make_config(tilted_c0.land, tilted_c0.wm, 0.2,
                     start_well=tilted_c0.wm.global_well)
-    # two shallow wells: caller has to pick one
-    with pytest.raises(SdeError, match="start_well must be given"):
-        make_config(triple.land, triple.wm, 0.2)
+    # two shallow wells: the run starts from the one it is given
     shallow = next(w for w in triple.wm.wells if not w.is_global)
     cfg3 = make_config(triple.land, triple.wm, 0.2, start_well=shallow,
                        trials=10)
@@ -87,7 +88,8 @@ def test_drift_table_matches_exact_drift(tilted_c1):
     exact = land.grad_V_at(pts) + land.b_h_at(pts, 0.2)
     assert np.allclose(table[idx[:, 0], idx[:, 1]], exact, atol=1e-12)
     # the default dt is the guard min(h, 1) / (10 max|U_h|) over the table
-    cfg = make_config(land, tilted_c1.wm, 0.2, trials=10)
+    cfg = make_config(land, tilted_c1.wm, 0.2,
+                      start_well=tilted_c1.shallow_well, trials=10)
     assert cfg.dt == pytest.approx(
         0.2 / (10.0 * np.sqrt((table**2).sum(axis=2)).max()), rel=1e-14)
 
@@ -106,7 +108,8 @@ def test_drift_table_blocks_match_one_shot_evaluation(fixture, request):
 # Degenerate and deterministic behaviour
 
 def test_start_inside_target_gives_zero_times(tilted_c0):
-    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=50)
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
+                      start_well=tilted_c0.shallow_well, trials=50)
     inside = dataclasses.replace(cfg, start=cfg.target_center.copy())
     st = hitting_time_stats(inside)
     assert st.mean == 0.0
@@ -121,7 +124,8 @@ GOLDEN_TAUS_SHA256 = (
 
 
 def test_fixed_seed_is_bit_reproducible(tilted_c0):
-    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25, trials=120, seed=7)
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25,
+                      start_well=tilted_c0.shallow_well, trials=120, seed=7)
     a = hitting_time_stats(cfg)
     b = hitting_time_stats(cfg)
     assert a.mean == b.mean
@@ -165,7 +169,8 @@ def test_draw_sums_match_numpy_sum(sub):
 
 
 def test_halved_dt_shares_the_quantum(tilted_c0):
-    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=10)
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
+                      start_well=tilted_c0.shallow_well, trials=10)
     assert cfg.substeps == 2
     half = halved_dt(cfg)
     assert half.dt == cfg.dt / 2
@@ -179,7 +184,8 @@ def test_halved_dt_shares_the_quantum(tilted_c0):
 @pytest.mark.parametrize("case", ["reflecting-box", "golden"])
 def test_shards_are_bit_identical(case, tilted_c0, monkeypatch):
     if case == "golden":
-        cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25, trials=120,
+        cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25,
+                          start_well=tilted_c0.shallow_well, trials=120,
                           seed=7)
     else:
         cfg = _reflecting_box()
@@ -199,7 +205,8 @@ def test_shards_are_bit_identical(case, tilted_c0, monkeypatch):
 def test_path_does_not_depend_on_the_phase_that_steps_it(case, tilted_c0,
                                                         monkeypatch):
     if case == "golden":
-        cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25, trials=120,
+        cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25,
+                          start_well=tilted_c0.shallow_well, trials=120,
                           seed=7)
     else:
         cfg = _reflecting_box()
@@ -226,7 +233,8 @@ def test_path_does_not_depend_on_the_phase_that_steps_it(case, tilted_c0,
 
 def test_max_time_cap_raises(tilted_c0, monkeypatch):
     monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
-    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=4,
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
+                      start_well=tilted_c0.shallow_well, trials=4,
                       max_time=0.05)
     with pytest.raises(SdeError, match=r"^4 of 4 trials .* max_time = 0\.05"):
         hitting_time_stats(cfg)
@@ -240,7 +248,8 @@ def test_failing_shard_raises_with_its_traceback(tilted_c0, monkeypatch):
     # patched before the shards fork, so their _run_shard calls it
     monkeypatch.setattr(sde, "_draw", planted_draw)
     monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
-    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2, trials=4)
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
+                      start_well=tilted_c0.shallow_well, trials=4)
     with pytest.raises(WorkerError, match="^RuntimeError: planted$") as info:
         hitting_time_stats(cfg)
     cause = str(info.value.__cause__)
