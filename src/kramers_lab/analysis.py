@@ -59,7 +59,7 @@ class Analysis:
 
     def operator(self, h: float, n: int) -> OperatorMatrix:
         """The generator on the n x n grid: its flat form, from which the
-        weighted matrix is derived on first use."""
+        weighted matrix is derived on each use."""
         key = (h, n)
         if key not in self._operators:
             grid = Grid(halfwidth=self.land.halfwidth, n=n)

@@ -63,7 +63,7 @@ import numpy as np
 
 from . import expr as ex
 from .analysis import Analysis, solve_spectra
-from .discretize import Grid
+from .discretize import DiscretizationError, Grid
 from .forked import Forked
 from .graded import measure_instances
 from .graded import selftest as graded_selftest
@@ -305,6 +305,7 @@ class _Context:
 
     cfg: RunConfig
     analyses: dict = field(default_factory=dict)   # c -> Analysis
+    predictions: dict = field(default_factory=dict)  # c -> {h: predictions}
     graded: Forked | None = None                   # the graded self-test
 
     def analysis(self, c: float) -> Analysis:
@@ -339,7 +340,8 @@ def _stage_analyze(ctx: _Context) -> list[str]:
                 "analyze: drift field violates stationarity of exp(-V/h): "
                 + station.describe())
         wm, data = ana.wm, ana.data
-        preds = {h: predict_spectrum(wm, data, h) for h in cfg.h}
+        preds = ctx.predictions[c] = {h: predict_spectrum(wm, data, h)
+                                      for h in cfg.h}
         for i in range(len(wm.wells)):
             base = preds[cfg.h[0]][i]
             row = [c,
@@ -375,15 +377,14 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
     rows = []
     for c in cfg.c:
         ana = ctx.analysis(c)
-        wm, data = ana.wm, ana.data
-        n0 = len(wm.wells)
+        n0 = len(ana.wm.wells)
         for h in cfg.h:
             res = ana.spectrum(h, cfg.grid_n)
             if res.n0_observed != n0:
                 raise StageFailure(
                     f"spectrum: cluster size {res.n0_observed} != number of "
                     f"labelled wells {n0} at h={_fmt(h)}, c={_fmt(c)}")
-            ek = sorted(p.lam for p in predict_spectrum(wm, data, h))
+            ek = sorted(p.lam for p in ctx.predictions[c][h])
             for k in range(n0):
                 lam = res.eigenvalues[k]
                 ratio = lam.real / ek[k] if ek[k] > 0 else ""
@@ -550,10 +551,14 @@ def run(cfg: RunConfig) -> int:
                 artifacts = _STAGE_FUNCS[name](ctx)
                 stage_records.append({"stage": name, "status": "passed",
                                       "message": "", "artifacts": artifacts})
-            except StageFailure as e:
-                print(f"FAILED {e}", file=sys.stderr)
+            except (StageFailure, DiscretizationError) as e:
+                # a grid guard's refusal says what to change: a stage
+                # failure like a violated invariant, not a crash
+                msg = str(e) if isinstance(e, StageFailure) \
+                    else f"{name}: {e}"
+                print(f"FAILED {msg}", file=sys.stderr)
                 stage_records.append({"stage": name, "status": "failed",
-                                      "message": str(e), "artifacts": []})
+                                      "message": msg, "artifacts": []})
                 failed = True
             except Exception as e:
                 msg = f"{name}: {type(e).__name__}: {e}"

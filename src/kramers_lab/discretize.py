@@ -11,7 +11,7 @@ h b_h . (centered difference) plus the zeroth-order term b_h . grad V / 2
 evaluated symbolically.
 
 The weighted generator -h Delta + grad V . grad + b_h . grad on
-L^2(m_h) is derived from P on first use by the exact entrywise similarity
+L^2(m_h) is derived from P on each use by the exact entrywise similarity
 L_ij = P_ij e^{(V_i - V_j)/2h} / h.  Spectra therefore satisfy
 eig(P) = h eig(L) to machine precision, boundary rows included, and for
 the preset drifts the weighted drift part is exactly antisymmetric, so
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,9 +105,10 @@ class OperatorMatrix:
     weights: np.ndarray          # m_h node weights: sum w_i dx^2 = 1
     V_nodes: np.ndarray
 
-    @cached_property
+    @property
     def matrix(self) -> sp.csr_matrix:
-        """L_ij = P_ij e^{(V_i - V_j)/2h} / h, built on first use."""
+        """L_ij = P_ij e^{(V_i - V_j)/2h} / h, built on each use: a caller
+        binds it once and lets it go, so only P stays with the operator."""
         L = self.flat.tocsr()
         rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
         V = self.V_nodes
@@ -336,14 +336,15 @@ def semigroup_decay(op: OperatorMatrix, u0, T: float, dt: float) -> float:
         raise DiscretizationError("fewer than 20 time steps; decrease dt")
     # accuracy guard: the Rayleigh quotient of u0 sets the fastest rate the
     # fit needs to resolve (Crank-Nicolson is unconditionally stable)
-    r0 = float(np.real(op.inner(op.matrix @ u, u))) / nrm**2
+    L = op.matrix
+    r0 = float(np.real(op.inner(L @ u, u))) / nrm**2
     if dt * r0 > 0.5:
         raise DiscretizationError(
             f"dt too large to resolve the initial decay rate "
             f"(dt * rate = {dt * r0:.3g} > 0.5); reduce dt"
         )
 
-    L = op.matrix.tocsc()
+    L = L.tocsc()
     I = sp.identity(L.shape[0], format="csc")
     lu = spla.splu((I + 0.5 * dt * L).tocsc())
     right = (I - 0.5 * dt * L).tocsr()

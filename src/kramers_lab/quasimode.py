@@ -331,13 +331,14 @@ class QuadraticForms:
 
 def dirichlet_and_residuals(qm: Quasimode) -> QuadraticForms:
     op, psi = qm.op, qm.values
-    Lpsi = op.matrix @ psi
+    L = op.matrix
+    Lpsi = L @ psi
     dir_psi = float(np.real(op.inner(psi, Lpsi)))
     # weighted adjoint: L* = W^-1 L^T W; nodes whose weight underflowed to
     # zero carry zero measure and are dropped from the quotient
     w = op.weights
     y = np.zeros_like(psi)
-    np.divide(op.matrix.T @ (w * psi), w, out=y, where=w > 0)
+    np.divide(L.T @ (w * psi), w, out=y, where=w > 0)
     return QuadraticForms(
         dirichlet_psi=dir_psi,
         dirichlet_phi=dir_psi / qm.norm**2,
@@ -385,10 +386,11 @@ def interaction_matrix(quasimodes: Sequence[Quasimode]) -> InteractionResult:
                     "support; decrease rho0/delta0"
                 )
     phis = [qm.phi for qm in quasimodes]
+    L = op.matrix
     K = np.empty((n, n))
     G = np.empty((n, n))
     for j in range(n):
-        Lphi = op.matrix @ phis[j]
+        Lphi = L @ phis[j]
         for k in range(n):
             K[j, k] = float(np.real(op.inner(phis[k], Lphi)))
             G[j, k] = float(np.real(op.inner(phis[j], phis[k])))

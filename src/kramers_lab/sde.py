@@ -6,10 +6,10 @@ of a small ball around the global minimum are compared against 1/lambda_2
 from the discretized generator.
 
 Each trial consumes its own counter-seeded stream, so results are
-bit-reproducible for a fixed configuration.  The stream is defined at a
-fixed time quantum (default dt/2) rather than per step: a step of size
-dt sums dt/quantum standard draws.  A run at half the step size with the
-same quantum therefore consumes the *same* Brownian path, and the
+bit-reproducible for a fixed configuration.  A step of size dt sums
+``substeps`` standard draws (default 2), each the increment over one
+quantum dt/substeps.  A run at half the step size summing half as many
+draws per step therefore consumes the *same* Brownian path, and the
 dt-halving audit (halved_dt) measures genuine discretization bias
 instead of resampling noise.
 
@@ -66,75 +66,68 @@ def _drift_table(land: Landscape, h: float):
     return axis, U
 
 
-def _table_max(table: np.ndarray) -> float:
-    return float(np.sqrt((table**2).sum(axis=2)).max())
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Euler-Maruyama run description; build via make_config for validation."""
+    """Euler-Maruyama run description, checked on construction.
+
+    ``dt`` defaults to the guard min(h, 1) / (10 max|U_h|), with max|U_h|
+    read off the drift table; a dt outside (0, guard] is refused.  Each
+    step sums ``substeps`` standard draws.  make_config adds the checks
+    that need the well map.
+    """
 
     land: Landscape
     h: float
-    dt: float
     trials: int
     seed: int
     start: np.ndarray
     target_center: np.ndarray
     target_radius: float
+    dt: float | None = None
     max_time: float = 10_000.0
-    noise_quantum: float | None = None
+    substeps: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.h <= 1.0:
             raise SdeError(f"h must lie in (0, 1], got {self.h}")
-        if self.dt <= 0.0:
-            raise SdeError("dt must be positive")
         if self.trials < 2:
             raise SdeError("at least two trials are required for a "
                            "standard error")
         if self.target_radius <= 0.0:
             raise SdeError("target radius must be positive")
-        self.substeps  # validates the quantum
+        if not (isinstance(self.substeps, int) and self.substeps >= 1):
+            raise SdeError("substeps must be an integer of at least 1, got "
+                           f"{self.substeps!r}")
+        U = self._drift[1]
+        guard = min(self.h, 1.0) / (
+            10.0 * float(np.sqrt((U**2).sum(axis=2)).max()))
+        dt = guard if self.dt is None else float(self.dt)
+        if not 0.0 < dt <= guard:
+            raise SdeError(
+                f"dt = {dt:.3e} must lie in (0, {guard:.3e}], the guard "
+                "min(h,1)/(10 max|U_h|)"
+            )
+        object.__setattr__(self, "dt", dt)
 
     @cached_property
     def _drift(self) -> tuple[np.ndarray, np.ndarray]:
-        """(axis, U_h at the table nodes); make_config fills it in."""
+        """(axis, U_h at the table nodes)."""
         return _drift_table(self.land, self.h)
-
-    @property
-    def substeps(self) -> int:
-        """Standard-normal draws consumed per time step (dt / quantum)."""
-        q = self.noise_quantum
-        if q is None:
-            return 2
-        if q <= 0.0:
-            raise SdeError("noise quantum must be positive")
-        k = round(self.dt / q)
-        if k < 1 or abs(self.dt - k * q) > 1e-9 * self.dt:
-            raise SdeError(
-                f"dt = {self.dt:.3e} is not an integer multiple of the "
-                f"noise quantum {q:.3e}"
-            )
-        return k
 
 
 def halved_dt(cfg: SimulationConfig) -> SimulationConfig:
     """cfg with dt/2 driven by the same Brownian path as cfg.
 
-    The returned config pins the noise quantum to cfg's value, so both
-    runs sum the same underlying draws and the difference of their mean
-    hitting times isolates the time-discretization bias.  Halving twice
-    re-bases the quantum (a draw cannot be split), so only one level of
-    refinement shares the path.
+    The returned config sums half as many draws per step, so both runs
+    sum the same underlying draws and the difference of their mean
+    hitting times isolates the time-discretization bias.  A draw cannot
+    be split: a one-draw step re-bases, keeping one draw, so its half
+    shares no path with it; an odd ``substeps`` above 1 is refused.
     """
-    q = cfg.noise_quantum if cfg.noise_quantum is not None else cfg.dt / 2.0
-    dt = cfg.dt / 2.0
-    return replace(cfg, dt=dt, noise_quantum=min(q, dt))
-
-
-def _dt_guard(h: float, bound: float) -> float:
-    return min(h, 1.0) / (10.0 * bound)
+    if cfg.substeps > 1 and cfg.substeps % 2:
+        raise SdeError(f"substeps = {cfg.substeps} is odd: its draws cannot "
+                       "be split between two half steps")
+    return replace(cfg, dt=cfg.dt / 2.0, substeps=max(cfg.substeps // 2, 1))
 
 
 def make_config(
@@ -155,7 +148,7 @@ def make_config(
     ``Analysis.shallow_well``).  The closed target ball must sit inside
     {V < sigma(start well)}; being connected and containing the global
     minimum it then automatically lies in the right sublevel component.
-    dt defaults to the guard value min(h, 1) / (10 max|U_h|).
+    dt and the remaining checks are SimulationConfig's.
     """
     if start_well.is_global:
         raise SdeError("the start well must be a non-global minimum")
@@ -173,22 +166,10 @@ def make_config(
             f"target ball of radius {radius} reaches V = {vmax:.4f} >= "
             f"sigma = {start_well.sigma:.4f}; shrink the radius"
         )
-
-    drift = _drift_table(land, h)
-    guard = _dt_guard(h, _table_max(drift[1]))
-    if dt is None:
-        dt = guard
-    elif dt > guard:
-        raise SdeError(
-            f"dt = {dt:.3e} exceeds the guard min(h,1)/(10 max|U_h|) = "
-            f"{guard:.3e}"
-        )
-    cfg = SimulationConfig(land=land, h=h, dt=float(dt), trials=trials,
-                           seed=seed, start=start_well.minimum.point.copy(),
-                           target_center=center.copy(),
-                           target_radius=float(radius), max_time=max_time)
-    cfg.__dict__["_drift"] = drift  # fill the cache: build the table once
-    return cfg
+    return SimulationConfig(land=land, h=h, dt=dt, trials=trials,
+                            seed=seed, start=start_well.minimum.point.copy(),
+                            target_center=center.copy(),
+                            target_radius=float(radius), max_time=max_time)
 
 
 @dataclass(frozen=True)
@@ -233,8 +214,6 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
     """
     h, dt = cfg.h, cfg.dt
     axis, table = cfg._drift
-    if dt > _dt_guard(h, _table_max(table)) * (1.0 + 1e-12):
-        raise SdeError("dt exceeds the drift guard for this landscape")
     r2 = cfg.target_radius**2
     if float(((cfg.start - cfg.target_center) ** 2).sum()) <= r2:
         return HittingStats(mean=0.0, stderr=0.0, trials=cfg.trials,

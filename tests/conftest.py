@@ -10,7 +10,19 @@ import pytest
 
 from kramers_lab import expr as ex
 from kramers_lab.analysis import Analysis
+from kramers_lab.discretize import OperatorMatrix
 from kramers_lab.landscape import Landscape, make_preset
+
+
+@pytest.fixture
+def weighted_builds(monkeypatch):
+    """The operators whose weighted matrix L is built from now on, one
+    entry per build (``OperatorMatrix.matrix`` builds L on each use)."""
+    built = []
+    weighted = OperatorMatrix.matrix.fget
+    monkeypatch.setattr(OperatorMatrix, "matrix",
+                        property(lambda op: built.append(op) or weighted(op)))
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -492,6 +492,49 @@ def test_unexpected_error_keeps_its_traceback(tmp_path, monkeypatch):
     assert [s["status"] for s in later] == ["skipped", "skipped"]
 
 
+@pytest.mark.parametrize("stage, c", [("spectrum", [0.0, 1.0]),
+                                      ("quasimode", [0.0, 1.0]),
+                                      ("sde", [1.0])],
+                         ids=["spectrum", "quasimode", "sde"])
+def test_refused_grid_fails_its_stage(stage, c, tmp_path, capsys):
+    # c = 1 at h = 0.2 needs n >= 89 for the mesh Peclet guard
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     c=c, h=[0.2], grid={"n": 64},
+                     stages=["analyze", stage],
+                     out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    assert "n >= 89" in capsys.readouterr().err
+    man = json.loads((out / "run_manifest.json").read_text())
+    analyze, failed = man["stages"]
+    assert analyze["status"] == "passed"
+    assert failed["status"] == "failed"
+    assert failed["message"].startswith(f"{stage}: mesh Peclet number")
+    assert "n >= 89" in failed["message"]
+    assert "traceback" not in failed
+    assert multiprocessing.active_children() == []
+
+
+def test_spectrum_stage_reads_the_analyze_predictions(tmp_path,
+                                                     monkeypatch):
+    cells = []
+
+    def spy(wm, data, h):
+        cells.append(h)
+        return predict_spectrum(wm, data, h)
+
+    monkeypatch.setattr(cli, "predict_spectrum", spy)
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     c=[0.0, 1.0], h=[0.2], grid={"n": 96},
+                     stages=["analyze", "spectrum"],
+                     out=str(tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+    # one prediction per (c, h) cell
+    assert cells == [0.2, 0.2]
+
+
 def test_failed_stage_skips_dependents(tmp_path):
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path,

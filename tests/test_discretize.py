@@ -90,10 +90,14 @@ def test_weighted_matrix_is_the_conjugated_flat_form():
     assert np.all(gap.data <= 1e-13 * np.abs(ref[gap.row, gap.col]).A1)
 
 
-def test_small_spectrum_never_builds_the_weighted_matrix():
+def test_small_spectrum_never_builds_the_weighted_matrix(weighted_builds):
     op = assemble(make_preset("tilted_double_well", c=1.0), 0.3,
                   Grid(2.0, 64))
     small_spectrum(op, 4, vectors=True)
+    assert weighted_builds == []
+    # the count sees a construction, and nothing keeps L with the operator
+    op.matrix
+    assert weighted_builds == [op]
     assert "matrix" not in op.__dict__
 
 
@@ -291,6 +295,14 @@ def test_ou_decay_rate_is_one():
     u0 = remove_weighted_mean(op, op.grid.points()[:, 0].copy())
     rate = semigroup_decay(op, u0, T=4.0, dt=0.02)
     assert rate == pytest.approx(1.0, abs=0.03)
+
+
+def test_semigroup_decay_builds_the_weighted_matrix_once(weighted_builds):
+    land = _flat_landscape("(x^2 + y^2) / 2", 4.0)
+    op = assemble(land, 0.15, Grid(4.0, 32))
+    u0 = remove_weighted_mean(op, op.grid.points()[:, 0].copy())
+    semigroup_decay(op, u0, T=1.0, dt=0.05)
+    assert weighted_builds == [op]
 
 
 def test_decay_rate_matches_lambda2_and_u0_independent():

@@ -404,6 +404,18 @@ def test_gram_identity_plus_exponentially_small(triple):
     assert not np.any(qms[ng[0]].support & qms[ng[1]].support)
 
 
+def test_forms_build_the_weighted_matrix_once_per_call(triple,
+                                                       weighted_builds):
+    # L is derived from the flat form on each use of op.matrix, so each
+    # form binds it once rather than once per product
+    qms = _triple_quasimodes(triple, 0.15)
+    assert weighted_builds == []
+    interaction_matrix(qms)
+    assert len(weighted_builds) == 1
+    dirichlet_and_residuals(qms[0])
+    assert len(weighted_builds) == 2
+
+
 def test_equal_level_overlap_rejected(tilted_geom, tilted_c0):
     qm = build_quasimode(tilted_c0.shallow_well, tilted_geom,
                          tilted_c0.operator(0.1, N))

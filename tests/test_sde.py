@@ -49,9 +49,22 @@ def test_config_rejects_bad_parameters(tilted_c0):
         make_config(land, wm, 0.2, start_well=start, trials=1)
     with pytest.raises(SdeError, match="radius"):
         make_config(land, wm, 0.2, start_well=start, radius=-0.1)
-    # noise quantum must divide dt
-    with pytest.raises(SdeError, match="quantum"):
-        dataclasses.replace(guard_ok, noise_quantum=guard_ok.dt * 0.3)
+    # a step sums a whole number of draws, at least one
+    for substeps in (0, 1.5):
+        with pytest.raises(SdeError, match="substeps"):
+            dataclasses.replace(guard_ok, substeps=substeps)
+
+
+def test_config_enforces_the_dt_guard_on_construction():
+    # built directly, without make_config: the config itself refuses
+    cfg = _reflecting_box()
+    assert cfg.dt == 1e-2
+    for dt in (10 * cfg.dt, 0.0, -cfg.dt):
+        with pytest.raises(SdeError, match=r"guard min\(h,1\)"):
+            dataclasses.replace(cfg, dt=dt)
+    guard = dataclasses.replace(cfg, dt=None).dt
+    assert cfg.dt < guard
+    assert dataclasses.replace(cfg, dt=guard).dt == guard
 
 
 def test_target_ball_must_stay_below_the_barrier(tilted_c0):
@@ -174,11 +187,16 @@ def test_halved_dt_shares_the_quantum(tilted_c0):
     assert cfg.substeps == 2
     half = halved_dt(cfg)
     assert half.dt == cfg.dt / 2
-    assert half.noise_quantum == pytest.approx(cfg.dt / 2)
+    assert half.dt / half.substeps == cfg.dt / cfg.substeps
     assert half.substeps == 1
     # a second halving re-bases the quantum instead of failing
     quarter = halved_dt(half)
     assert quarter.substeps == 1
+    # an even count halves; an odd one cannot be split between half steps
+    four = dataclasses.replace(cfg, substeps=4)
+    assert halved_dt(four).substeps == 2
+    with pytest.raises(SdeError, match="odd"):
+        halved_dt(dataclasses.replace(cfg, substeps=3))
 
 
 @pytest.mark.parametrize("case", ["reflecting-box", "golden"])
