@@ -40,7 +40,8 @@ earlier stage fails stops the worker.  ``kramers-lab selftest`` runs
 with ``graded.selftest``; like ``run`` it refuses ``--instances`` below 1
 and a negative ``--seed`` with exit code 2.
 
-Every run writes run_manifest.json (config, versions, stage outcomes);
+Every run writes run_manifest.json (config, versions, stage outcomes,
+and per-cell diagnostics of the sde stage: dt, the guard, trial-steps);
 data files are CSV with a fixed number format, so identical config + seed
 reproduce byte-identical bodies.  Exit codes: 0 all stage assertions
 passed, 1 a stage failed, 2 config/usage error (an ``out`` the run cannot
@@ -77,7 +78,8 @@ from .quasimode import (
     predicted_norm_sq,
 )
 from .saddle import predict_spectrum
-from .sde import hitting_time_stats, make_config
+from .sde import (SdeError, hitting_time_stats, make_config,
+                  mean_first_passage)
 
 STAGES = ("analyze", "spectrum", "quasimode", "sde", "graded-selftest")
 _NEEDS_LANDSCAPE = ("analyze", "spectrum", "quasimode", "sde")
@@ -307,6 +309,7 @@ class _Context:
     analyses: dict = field(default_factory=dict)   # c -> Analysis
     predictions: dict = field(default_factory=dict)  # c -> {h: predictions}
     graded: Forked | None = None                   # the graded self-test
+    diagnostics: dict = field(default_factory=dict)  # stage -> cell records
 
     def analysis(self, c: float) -> Analysis:
         if c not in self.analyses:
@@ -455,6 +458,7 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
 def _stage_sde(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
     rows = []
+    cells = ctx.diagnostics["sde"] = []
     for c in cfg.c:
         ana = ctx.analysis(c)
         if len(ana.wm.wells) == 1:
@@ -467,16 +471,29 @@ def _stage_sde(ctx: _Context) -> list[str]:
                               start_well=ana.shallow_well,
                               radius=cfg.sde_radius, trials=cfg.sde_trials,
                               seed=cfg.seed)
+            # solved before the hitting run: the heap that run leaves
+            # behind would carry the LU factor past the process's peak
+            mfpt = mean_first_passage(sim, ana.operator(h, cfg.grid_n))
             st = hitting_time_stats(sim)
             ratio = st.mean * lam2
-            rows.append([h, c, st.mean, st.stderr, 1.0 / lam2, ratio])
+            rows.append([h, c, st.mean, st.stderr, 1.0 / lam2, ratio, mfpt,
+                         (st.mean - mfpt) / st.stderr])
+            cells.append({
+                "h": h, "c": c, "dt": sim.dt,
+                "guard_max_drift": sim.drift.peak,
+                "guard_level": sim.drift.level,
+                "trial_steps": int(np.rint(st.taus / sim.dt).sum()),
+                "escapes": st.escapes,
+                "predicted_trial_steps": sim.trials * mfpt / sim.dt,
+            })
             if not 0.5 <= ratio <= 2.0:
                 raise StageFailure(
                     "sde: mean hitting time is off the spectral prediction "
                     f"1/lambda_2 by factor {ratio:.2f} (allowed [0.5, 2]) "
                     f"at h={_fmt(h)}, c={_fmt(c)}")
     _write_csv(cfg.out / "sde_report.csv",
-               ["h", "c", "mean_tau", "stderr", "inv_lambda2", "ratio"],
+               ["h", "c", "mean_tau", "stderr", "inv_lambda2", "ratio",
+                "mfpt_pred", "z"],
                rows)
     return ["sde_report.csv"]
 
@@ -551,9 +568,9 @@ def run(cfg: RunConfig) -> int:
                 artifacts = _STAGE_FUNCS[name](ctx)
                 stage_records.append({"stage": name, "status": "passed",
                                       "message": "", "artifacts": artifacts})
-            except (StageFailure, DiscretizationError) as e:
-                # a grid guard's refusal says what to change: a stage
-                # failure like a violated invariant, not a crash
+            except (StageFailure, DiscretizationError, SdeError) as e:
+                # a grid or SDE guard's refusal says what to change: a
+                # stage failure like a violated invariant, not a crash
                 msg = str(e) if isinstance(e, StageFailure) \
                     else f"{name}: {e}"
                 print(f"FAILED {msg}", file=sys.stderr)
@@ -587,6 +604,7 @@ def run(cfg: RunConfig) -> int:
         "versions": _versions(),
         "seed": cfg.seed,
         "stages": stage_records,
+        "diagnostics": ctx.diagnostics,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     with open(cfg.out / "run_manifest.json", "w") as f:

@@ -315,6 +315,32 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
 
 
 # ---------------------------------------------------------------------------
+# Dirichlet problems
+
+def solve_dirichlet(op: OperatorMatrix, absorbing, f) -> np.ndarray:
+    """u with L u = f off the ``absorbing`` nodes and the walls, u = 0 on
+    them; with f = 1 and a target as ``absorbing``, u is the mean
+    first-passage time into the target (Dynkin).
+
+    With u = e^{V/2h} v the problem is P_FF v = h e^{-V/2h} f on the free
+    nodes F, solved on the stored flat form (one sparse LU, ordered as in
+    small_spectrum), so the solve stays well scaled.  Both conjugations
+    run relative to min V over F, the second in the log domain as
+    small_spectrum unconjugates, so no weight overflows.
+    """
+    free = np.flatnonzero(~(np.asarray(absorbing, dtype=bool)
+                            | op.grid.boundary_mask()))
+    V = op.V_nodes[free]
+    shift = (V - V.min()) / (2.0 * op.h)
+    b = op.h * np.asarray(f, dtype=float)[free] * np.exp(-shift)
+    v = spla.splu(op.flat[free][:, free],
+                  permc_spec="MMD_AT_PLUS_A").solve(b)
+    u = np.zeros(op.grid.size)
+    u[free] = np.sign(v) * np.exp(np.log(np.abs(v) + 1e-300) + shift)
+    return u
+
+
+# ---------------------------------------------------------------------------
 # Semigroup decay
 
 def semigroup_decay(op: OperatorMatrix, u0, T: float, dt: float) -> float:

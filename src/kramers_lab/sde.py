@@ -3,7 +3,13 @@
 Euler-Maruyama for dX = -U_h(X) dt + sqrt(2h) dB with the full drift
 U_h = grad V + b + h nu, reflected at the box walls.  Mean hitting times
 of a small ball around the global minimum are compared against 1/lambda_2
-from the discretized generator.
+from the discretized generator and against the discrete mean first-passage
+time u(start), the solution of L u = 1 off the ball (mean_first_passage).
+
+The step defaults to the guard min(h, 1) / (10 max|U_h|), the max taken
+over {V <= sigma + 1} with sigma the start well's saddle height: the
+region the paths sample, where |U_h| is about 2.4 times smaller than at
+the box corners on the tilted well.
 
 Each trial consumes its own counter-seeded stream, so results are
 bit-reproducible for a fixed configuration.  A step of size dt sums
@@ -15,7 +21,8 @@ instead of resampling noise.
 
 The drift is evaluated by bilinear interpolation from a dense
 precomputed table (the expression trees are far too slow to walk once
-per time step), built once per config.  Paths are stepped in one
+per time step), built once per config and kept by the configs derived
+from it with dataclasses.replace.  Paths are stepped in one
 vectorized batch while many trials are still running and finished off
 one by one in a scalar loop, which is what makes the exponential tail of
 the hitting-time distribution affordable.
@@ -33,12 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import forked
+from .discretize import OperatorMatrix, solve_dirichlet
 from .labelling import LabelledWell, WellMap
 from .landscape import Landscape
 
@@ -50,20 +57,38 @@ class SdeError(ValueError):
 _TABLE_N = 513
 _TABLE_ROWS = 32
 _TAIL_SWITCH = 24
+# the dt guard reads max|U_h| over {V <= sigma + _GUARD_MARGIN}, the region
+# the paths sample; the box corners above it are where |U_h| peaks
+_GUARD_MARGIN = 1.0
 
 
-def _drift_table(land: Landscape, h: float):
+class _DriftTable(NamedTuple):
+    """U_h at the table nodes and the guard's peak, with the land, h and
+    level they were built for."""
+
+    land: Landscape
+    h: float
+    level: float
+    axis: np.ndarray
+    U: np.ndarray           # (x node, y node, x/y)
+    peak: float             # max |U_h| over the nodes with V <= level
+
+
+def _drift_table(land: Landscape, h: float, level: float) -> _DriftTable:
     L = land.halfwidth
     axis = np.linspace(-L, L, _TABLE_N)
     U = np.empty((_TABLE_N, _TABLE_N, 2))
+    peak = 0.0
     # a block of rows at a time: the expression temporaries for all table
     # nodes at once would set the process's peak memory
     for i in range(0, _TABLE_N, _TABLE_ROWS):
         xx, yy = np.meshgrid(axis[i:i + _TABLE_ROWS], axis, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        U[i:i + _TABLE_ROWS] = (land.grad_V_at(pts) + land.b_h_at(pts, h)
-                                ).reshape(-1, _TABLE_N, 2)
-    return axis, U
+        block = land.grad_V_at(pts) + land.b_h_at(pts, h)
+        U[i:i + _TABLE_ROWS] = block.reshape(-1, _TABLE_N, 2)
+        speed = np.sqrt((block**2).sum(axis=1))[land.V_at(pts) <= level]
+        peak = max(peak, float(speed.max(initial=0.0)))
+    return _DriftTable(land, h, level, axis, U, peak)
 
 
 @dataclass(frozen=True)
@@ -71,9 +96,12 @@ class SimulationConfig:
     """Euler-Maruyama run description, checked on construction.
 
     ``dt`` defaults to the guard min(h, 1) / (10 max|U_h|), with max|U_h|
-    read off the drift table; a dt outside (0, guard] is refused.  Each
-    step sums ``substeps`` standard draws.  make_config adds the checks
-    that need the well map.
+    read off the drift table over the nodes with V <= sigma + 1, sigma
+    being the start well's saddle height; a dt outside (0, guard] is
+    refused.  Each step sums ``substeps`` standard draws.  ``drift`` is
+    the table, built here; a config derived with dataclasses.replace
+    keeps its source's while land, h and sigma are unchanged.
+    make_config adds the checks that need the well map.
     """
 
     land: Landscape
@@ -83,9 +111,12 @@ class SimulationConfig:
     start: np.ndarray
     target_center: np.ndarray
     target_radius: float
+    sigma: float
     dt: float | None = None
     max_time: float = 10_000.0
     substeps: int = 2
+    drift: _DriftTable | None = field(default=None, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.h <= 1.0:
@@ -98,21 +129,21 @@ class SimulationConfig:
         if not (isinstance(self.substeps, int) and self.substeps >= 1):
             raise SdeError("substeps must be an integer of at least 1, got "
                            f"{self.substeps!r}")
-        U = self._drift[1]
-        guard = min(self.h, 1.0) / (
-            10.0 * float(np.sqrt((U**2).sum(axis=2)).max()))
+        level = self.sigma + _GUARD_MARGIN
+        d = self.drift
+        if d is None or d.land is not self.land or (d.h, d.level) != (
+                self.h, level):
+            d = _drift_table(self.land, self.h, level)
+            object.__setattr__(self, "drift", d)
+        guard = min(self.h, 1.0) / (10.0 * d.peak)
         dt = guard if self.dt is None else float(self.dt)
         if not 0.0 < dt <= guard:
             raise SdeError(
                 f"dt = {dt:.3e} must lie in (0, {guard:.3e}], the guard "
-                "min(h,1)/(10 max|U_h|)"
+                f"min(h,1)/(10 max|U_h|) over V <= sigma + {_GUARD_MARGIN:g} "
+                f"= {level:.4g}"
             )
         object.__setattr__(self, "dt", dt)
-
-    @cached_property
-    def _drift(self) -> tuple[np.ndarray, np.ndarray]:
-        """(axis, U_h at the table nodes)."""
-        return _drift_table(self.land, self.h)
 
 
 def halved_dt(cfg: SimulationConfig) -> SimulationConfig:
@@ -169,7 +200,37 @@ def make_config(
     return SimulationConfig(land=land, h=h, dt=dt, trials=trials,
                             seed=seed, start=start_well.minimum.point.copy(),
                             target_center=center.copy(),
-                            target_radius=float(radius), max_time=max_time)
+                            target_radius=float(radius),
+                            sigma=start_well.sigma, max_time=max_time)
+
+
+def mean_first_passage(cfg: SimulationConfig, op: OperatorMatrix) -> float:
+    """The discrete mean first-passage time from cfg.start into the target.
+
+    u solves L u = 1 off the target's grid nodes and the walls with u = 0
+    on them (discretize.solve_dirichlet on ``op``, the generator at
+    cfg.h) and is read at cfg.start by bilinear interpolation.  The walls
+    absorb where the paths reflect, which is exponentially small while V
+    at the walls lies far above sigma.
+    """
+    if op.h != cfg.h:
+        raise SdeError(f"the generator is at h = {op.h}, the run at "
+                       f"h = {cfg.h}")
+    grid = op.grid
+    target = (((grid.points() - cfg.target_center) ** 2).sum(axis=1)
+              <= cfg.target_radius**2)
+    if not target.any():
+        raise SdeError(
+            f"the target ball of radius {cfg.target_radius} holds no node "
+            f"of the {grid.n}^2 grid; refine the grid or widen the radius")
+    u = solve_dirichlet(op, target, np.ones(grid.size)).reshape(grid.n,
+                                                                 grid.n)
+    f = (cfg.start + grid.halfwidth) / grid.spacing
+    i, j = np.minimum(f.astype(int), grid.n - 2)
+    tx, ty = f - (i, j)
+    lo = u[i, j] + ty * (u[i, j + 1] - u[i, j])
+    hi = u[i + 1, j] + ty * (u[i + 1, j + 1] - u[i + 1, j])
+    return float(lo + tx * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -213,7 +274,7 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
     reports how many there are over all shards.
     """
     h, dt = cfg.h, cfg.dt
-    axis, table = cfg._drift
+    axis, table = cfg.drift.axis, cfg.drift.U
     r2 = cfg.target_radius**2
     if float(((cfg.start - cfg.target_center) ** 2).sum()) <= r2:
         return HittingStats(mean=0.0, stderr=0.0, trials=cfg.trials,
@@ -221,10 +282,12 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
 
     n = len(axis)
     sub = cfg.substeps
-    flat = (dt * table).reshape(n * n, 2)
+    # dt * U_h as (x/y, node), written straight into its final layout
+    scaled = np.empty((2, n * n))
+    np.multiply(table.reshape(n * n, 2).T, dt, out=scaled)
     # Python floats, not numpy scalars: the scalar tail does all its
     # arithmetic with them, and numpy scalar math is slower per operation
-    walk = _Walk(table=np.ascontiguousarray(flat.T), n=n, a0=float(axis[0]),
+    walk = _Walk(table=scaled, n=n, a0=float(axis[0]),
                  inv=float((n - 1) / (axis[-1] - axis[0])),
                  L=float(cfg.land.halfwidth),
                  centre=cfg.target_center.astype(float), r2=float(r2),

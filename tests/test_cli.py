@@ -266,9 +266,25 @@ def test_sde_stage_report(tmp_path, monkeypatch):
     assert dict(calls) == {"assemble": 1, "small_spectrum": 1}
     assert (out / "spectrum_sweep.csv").exists()
     header, rows = _read_csv(out / "sde_report.csv")
-    assert header == ["h", "c", "mean_tau", "stderr", "inv_lambda2", "ratio"]
+    assert header == ["h", "c", "mean_tau", "stderr", "inv_lambda2", "ratio",
+                      "mfpt_pred", "z"]
     assert len(rows) == 1
-    assert 0.5 <= float(rows[0][5]) <= 2.0
+    (_, _, mean, stderr, _, ratio, mfpt, z), = rows
+    assert 0.5 <= float(ratio) <= 2.0
+    assert float(z) == pytest.approx(
+        (float(mean) - float(mfpt)) / float(stderr), rel=1e-9)
+    man = json.loads((out / "run_manifest.json").read_text())
+    (cell,) = man["diagnostics"]["sde"]
+    assert (cell["h"], cell["c"]) == (0.25, 0.0)
+    assert cell["guard_max_drift"] > 0
+    assert cell["dt"] == pytest.approx(0.25 / (10 * cell["guard_max_drift"]),
+                                       rel=1e-12)
+    assert cell["escapes"] == 0
+    # trial-steps taken against trials * u(start) / dt
+    assert cell["predicted_trial_steps"] == pytest.approx(
+        150 * float(mfpt) / cell["dt"], rel=1e-9)
+    assert cell["trial_steps"] == pytest.approx(
+        150 * float(mean) / cell["dt"], rel=1e-6)
 
 
 def test_sde_stage_needs_a_start_well(tmp_path):
@@ -285,6 +301,24 @@ def test_sde_stage_needs_a_start_well(tmp_path):
     assert analyze["status"] == "passed"
     assert sde_stage["status"] == "failed"
     assert "needs a non-global start well" in sde_stage["message"]
+    assert "traceback" not in sde_stage
+
+
+def test_sde_refusal_fails_its_stage(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     h=[0.25], grid={"n": 64},
+                     sde={"radius": 1.5, "trials": 10},
+                     stages=["sde"],
+                     out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    man = json.loads((out / "run_manifest.json").read_text())
+    analyze, sde_stage = man["stages"]
+    assert analyze["status"] == "passed"
+    assert sde_stage["status"] == "failed"
+    assert sde_stage["message"].startswith("sde: target ball of radius 1.5")
+    assert "shrink the radius" in sde_stage["message"]
     assert "traceback" not in sde_stage
 
 

@@ -16,6 +16,7 @@ from kramers_lab.discretize import (
     remove_weighted_mean,
     semigroup_decay,
     small_spectrum,
+    solve_dirichlet,
 )
 from kramers_lab.saddle import predict_spectrum
 
@@ -283,6 +284,27 @@ def test_large_counts_match_a_wide_krylov_reference(count):
         assert np.min(np.abs(ref - lam)) <= 1e-8 * max(abs(lam), 1e-3)
     # the returned values are the count nearest the shift
     assert np.abs(got).max() <= np.sort(np.abs(ref))[count - 1] * (1 + 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet problems
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_dirichlet_solve_satisfies_the_weighted_equation(c):
+    op = assemble(make_preset("tilted_double_well", c=c), 0.2, Grid(2.0, 96))
+    pts = op.grid.points()
+    target = ((pts - (-1.0, 0.0)) ** 2).sum(axis=1) <= 0.3**2
+    absorbing = target | op.grid.boundary_mask()
+    L = op.matrix
+    # the mean first-passage time, then a signed right-hand side
+    for f in (np.ones(op.grid.size),
+              np.random.default_rng(1).standard_normal(op.grid.size)):
+        u = solve_dirichlet(op, target, f)
+        assert np.all(u[absorbing] == 0.0)
+        # componentwise backward error of L u = f on the free nodes
+        scale = abs(L) @ np.abs(u) + np.abs(f)
+        err = np.abs(L @ u - f)[~absorbing] / scale[~absorbing]
+        assert err.max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

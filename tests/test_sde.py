@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import math
 import multiprocessing
 
 import numpy as np
@@ -21,6 +22,7 @@ from kramers_lab.sde import (
     halved_dt,
     hitting_time_stats,
     make_config,
+    mean_first_passage,
 )
 
 
@@ -93,28 +95,62 @@ def test_start_well_selection(tilted_c0, triple):
 
 def test_drift_table_matches_exact_drift(tilted_c1):
     land = tilted_c1.land
-    axis, table = _drift_table(land, 0.2)
+    drift = _drift_table(land, 0.2, math.inf)
+    axis, table = drift.axis, drift.U
     # spot-check table nodes directly against the expressions
     rng = np.random.default_rng(3)
     idx = rng.integers(0, len(axis), size=(200, 2))
     pts = np.column_stack([axis[idx[:, 0]], axis[idx[:, 1]]])
     exact = land.grad_V_at(pts) + land.b_h_at(pts, 0.2)
     assert np.allclose(table[idx[:, 0], idx[:, 1]], exact, atol=1e-12)
-    # the default dt is the guard min(h, 1) / (10 max|U_h|) over the table
-    cfg = make_config(land, tilted_c1.wm, 0.2,
-                      start_well=tilted_c1.shallow_well, trials=10)
-    assert cfg.dt == pytest.approx(
-        0.2 / (10.0 * np.sqrt((table**2).sum(axis=2)).max()), rel=1e-14)
+    # the default dt is the guard min(h, 1) / (10 max|U_h|), the max taken
+    # over the table nodes with V <= sigma + 1, here from a one-shot V
+    start = tilted_c1.shallow_well
+    cfg = make_config(land, tilted_c1.wm, 0.2, start_well=start, trials=10)
+    xx, yy = np.meshgrid(axis, axis, indexing="ij")
+    V = land.V_at(np.column_stack([xx.ravel(), yy.ravel()])).reshape(xx.shape)
+    speed = np.sqrt((table**2).sum(axis=2))
+    region = speed[V <= start.sigma + 1.0].max()
+    assert cfg.dt == 0.2 / (10.0 * region)
+    # the region excludes the box corners, where |U_h| is largest
+    assert speed.max() > 2.0 * region
 
 
 @pytest.mark.parametrize("fixture", ["tilted_c0", "tilted_c1"])
 def test_drift_table_blocks_match_one_shot_evaluation(fixture, request):
     land = request.getfixturevalue(fixture).land
-    axis, table = _drift_table(land, 0.2)
+    drift = _drift_table(land, 0.2, math.inf)
+    axis, table = drift.axis, drift.U
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     one_shot = land.grad_V_at(pts) + land.b_h_at(pts, 0.2)
     assert np.array_equal(table, one_shot.reshape(table.shape))
+
+
+# ---------------------------------------------------------------------------
+# The discrete mean first-passage time
+
+@pytest.mark.parametrize("fixture", ["tilted_c0", "tilted_c1"])
+def test_mean_first_passage_converges_in_the_grid(fixture, request):
+    ana = request.getfixturevalue(fixture)
+    cfg = make_config(ana.land, ana.wm, 0.2, start_well=ana.shallow_well,
+                      trials=10)
+    coarse = mean_first_passage(cfg, ana.operator(0.2, 96))
+    fine = mean_first_passage(cfg, ana.operator(0.2, 192))
+    assert coarse == pytest.approx(fine, rel=5e-3)
+
+
+def test_mean_first_passage_refusals(tilted_c0):
+    ana = tilted_c0
+    cfg = make_config(ana.land, ana.wm, 0.2, start_well=ana.shallow_well,
+                      trials=10)
+    with pytest.raises(SdeError, match="h = 0.25"):
+        mean_first_passage(cfg, ana.operator(0.25, 96))
+    # a ball narrower than half the 96^2 spacing (0.042) around the
+    # off-node minimum holds no node
+    tiny = dataclasses.replace(cfg, target_radius=0.01)
+    with pytest.raises(SdeError, match="holds no node"):
+        mean_first_passage(tiny, ana.operator(0.2, 96))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +166,13 @@ def test_start_inside_target_gives_zero_times(tilted_c0):
     assert np.all(st.taus == 0.0)
 
 
-# sha256 of the taus bytes of the run below, pinned before the stepping
-# kernel is reworked: any refactor must reproduce it bit for bit
+# sha256 of the taus bytes of the run below: any refactor of the stepping
+# kernel must reproduce it bit for bit
 GOLDEN_TAUS_SHA256 = (
+    "bce5025b51bebc66b576aa4b23a3659cb6d0322b29cc24f344f30bf9a0f5263e")
+# the same run at the earlier box-wide guard min(h,1)/(10 max|U_h|), the
+# max over every table node, pinned before the kernel was reworked
+BOX_GUARD_TAUS_SHA256 = (
     "6f2cebb330e11ee2d7643e1c5b90567ad8e46ef1c2fea811f29ac6db9e987ac8")
 
 
@@ -149,6 +189,38 @@ def test_fixed_seed_is_bit_reproducible(tilted_c0):
     assert hitting_time_stats(other).mean != a.mean
 
 
+def test_box_guard_step_reproduces_the_earlier_golden_run(tilted_c0):
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25,
+                      start_well=tilted_c0.shallow_well, trials=120, seed=7)
+    box = 0.25 / (10.0 * np.sqrt((cfg.drift.U**2).sum(axis=2)).max())
+    assert box < cfg.dt / 2
+    st = hitting_time_stats(dataclasses.replace(cfg, dt=box))
+    assert hashlib.sha256(st.taus.tobytes()).hexdigest() \
+        == BOX_GUARD_TAUS_SHA256
+
+
+def test_derived_configs_reuse_the_drift_table(tilted_c0, monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return _drift_table(*args)
+
+    monkeypatch.setattr(sde, "_drift_table", counted)
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
+                      start_well=tilted_c0.shallow_well, trials=10)
+    half = halved_dt(cfg)
+    reseeded = dataclasses.replace(cfg, seed=5)
+    assert len(builds) == 1
+    assert half.drift is reseeded.drift is cfg.drift
+    # a different h or sigma needs a table of its own
+    other_h = dataclasses.replace(cfg, h=0.25, dt=None)
+    other_sigma = dataclasses.replace(cfg, sigma=cfg.sigma + 0.5, dt=None)
+    assert len(builds) == 3
+    assert other_h.drift.h == 0.25
+    assert other_sigma.drift.level == pytest.approx(cfg.drift.level + 0.5)
+
+
 def _reflecting_box() -> SimulationConfig:
     # a box just wider than the wells: paths reflect off the walls often,
     # before and after they reach the target
@@ -158,7 +230,7 @@ def _reflecting_box() -> SimulationConfig:
     return SimulationConfig(land=land, h=0.5, dt=1e-2, trials=40, seed=3,
                             start=np.array([1.0, 0.0]),
                             target_center=np.array([-1.0, 0.0]),
-                            target_radius=0.3)
+                            target_radius=0.3, sigma=1.0)
 
 
 def test_escapes_count_only_paths_still_in_flight():
@@ -254,8 +326,11 @@ def test_max_time_cap_raises(tilted_c0, monkeypatch):
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
                       start_well=tilted_c0.shallow_well, trials=4,
                       max_time=0.05)
+    # a trial stops at the first chunk boundary past max_time, so a short
+    # chunk keeps every trial short of the target: 32 steps of 1.9e-3,
+    # where one of these trials hits at 0.90, inside a 512-step chunk
     with pytest.raises(SdeError, match=r"^4 of 4 trials .* max_time = 0\.05"):
-        hitting_time_stats(cfg)
+        hitting_time_stats(cfg, chunk=16)
     assert multiprocessing.active_children() == []
 
 
@@ -287,6 +362,14 @@ def test_mean_time_matches_spectral_rate(sde_tilted, tilted_c0, tilted_c1):
         assert 0.5 / lam2 <= st.mean <= 2.0 / lam2, (tag, st.mean, 1 / lam2)
         assert st.escapes == 0
         assert st.stderr < 0.05 * st.mean
+
+
+def test_mean_time_matches_the_mean_first_passage_time(sde_tilted,
+                                                       tilted_c0, tilted_c1):
+    for tag, ana in (("c0", tilted_c0), ("c1", tilted_c1)):
+        cfg, st = sde_tilted[tag]
+        u = mean_first_passage(cfg, ana.operator(0.2, 96))
+        assert abs(st.mean - u) <= 4.0 * st.stderr, (tag, st.mean, u)
 
 
 def test_dt_halving_shifts_mean_by_less_than_a_stderr(sde_tilted):
