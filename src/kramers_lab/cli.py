@@ -68,7 +68,9 @@ from .discretize import DiscretizationError, Grid
 from .forked import Forked
 from .graded import measure_instances
 from .graded import selftest as graded_selftest
-from .landscape import Landscape, PRESETS, make_preset, validate_stationarity
+from .labelling import LabellingError
+from .landscape import (Landscape, LandscapeError, PRESETS, make_preset,
+                        validate_stationarity)
 from .quasimode import (
     GeometryError,
     build_cutoffs,
@@ -77,7 +79,7 @@ from .quasimode import (
     predicted_dirichlet,
     predicted_norm_sq,
 )
-from .saddle import predict_spectrum
+from .saddle import UnsupportedCaseError, predict_spectrum
 from .sde import (SdeError, hitting_time_stats, make_config,
                   mean_first_passage)
 
@@ -568,9 +570,12 @@ def run(cfg: RunConfig) -> int:
                 artifacts = _STAGE_FUNCS[name](ctx)
                 stage_records.append({"stage": name, "status": "passed",
                                       "message": "", "artifacts": artifacts})
-            except (StageFailure, DiscretizationError, SdeError) as e:
-                # a grid or SDE guard's refusal says what to change: a
-                # stage failure like a violated invariant, not a crash
+            except (StageFailure, DiscretizationError, SdeError,
+                    LandscapeError, LabellingError,
+                    UnsupportedCaseError) as e:
+                # a refusal of the landscape, the grid or the SDE run says
+                # what is wrong: a stage failure like a violated
+                # invariant, not a crash
                 msg = str(e) if isinstance(e, StageFailure) \
                     else f"{name}: {e}"
                 print(f"FAILED {msg}", file=sys.stderr)

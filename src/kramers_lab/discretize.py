@@ -163,8 +163,13 @@ def _peclet_guard(land: Landscape, h: float, grid: Grid, V, pts, criticals):
         nodes = probe.points()
         pe_need = peclet(probe, nodes, land.V_at(nodes))
     if need > grid.n:
+        # imported here: only a refusal needs it
+        from decimal import ROUND_CEILING, Decimal
+
+        # rounded up, so a refused grid never reads 1.00
+        shown = Decimal(pe).quantize(Decimal("0.01"), rounding=ROUND_CEILING)
         raise DiscretizationError(
-            f"mesh Peclet number {pe:.2f} > 1 for the drift term; "
+            f"mesh Peclet number {shown} > 1 for the drift term; "
             f"refine the grid to n >= {need} or increase h"
         )
 

@@ -29,11 +29,14 @@ the hitting-time distribution affordable.
 
 The trials are split into interleaved shards (trial i in shard i mod W),
 one per usable CPU and at most one per trial, each with its own batch
-and tail, run through ``forked.starmap`` (a forked shard inherits the
-drift table).  A shard switches to the scalar tail at ceil(24 / W) trials
-in flight, so the tail work summed over shards matches a single batch's.
-Since every trial has its own stream and both phases share one
-arithmetic, the results are bit-identical for any W.
+and tail, run through ``forked.starmap``.  A shard is handed the
+SimulationConfig itself (a forked shard inherits it, drift table
+included) and derives its step constants from it.  A shard switches to
+the scalar tail at ceil(24 / W) trials in flight, so the tail work summed
+over shards matches a single batch's.  Since every trial has its own
+stream and both phases share one arithmetic, the results are
+bit-identical for any W.  A trial that has not hit by max_time is
+unfinished, whatever the number of steps a shard draws at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class SdeError(ValueError):
 _TABLE_N = 513
 _TABLE_ROWS = 32
 _TAIL_SWITCH = 24
+# steps drawn and stepped at a time: a shard checks max_time between chunks
+_CHUNK = 512
 # the dt guard reads max|U_h| over {V <= sigma + _GUARD_MARGIN}, the region
 # the paths sample; the box corners above it are where |U_h| peaks
 _GUARD_MARGIN = 1.0
@@ -242,26 +247,7 @@ class HittingStats:
     taus: np.ndarray = field(repr=False)
 
 
-class _Walk(NamedTuple):
-    """What a shard needs to step its trials."""
-
-    table: np.ndarray       # dt * U_h at the table nodes, (x/y, node)
-    n: int
-    a0: float
-    inv: float
-    L: float
-    centre: np.ndarray
-    r2: float
-    dt: float
-    sub: int
-    scale: float
-    max_steps: int
-    chunk: int
-    seed: int
-    start: np.ndarray
-
-
-def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
+def hitting_time_stats(cfg: SimulationConfig) -> HittingStats:
     """First hitting times of the target ball over all trials.
 
     Trial i goes to shard i mod W, where W is the number of usable CPUs
@@ -269,44 +255,27 @@ def hitting_time_stats(cfg: SimulationConfig, chunk: int = 512) -> HittingStats:
     switches to the scalar tail once at most ceil(_TAIL_SWITCH / W) of
     its trials are still in flight, so the tail work summed over shards
     stays where one shard would put it.  Every trial draws from its own
-    stream, so taus and escapes do not depend on W.  A trial that has not
-    hit by the first chunk boundary past max_time is unfinished; SdeError
-    reports how many there are over all shards.
+    stream, so taus and escapes do not depend on W.  A trial whose tau
+    is not <= cfg.max_time is unfinished; SdeError reports how many
+    there are over all shards.
     """
-    h, dt = cfg.h, cfg.dt
-    axis, table = cfg.drift.axis, cfg.drift.U
-    r2 = cfg.target_radius**2
-    if float(((cfg.start - cfg.target_center) ** 2).sum()) <= r2:
+    if float(((cfg.start - cfg.target_center) ** 2).sum()) \
+            <= cfg.target_radius**2:
         return HittingStats(mean=0.0, stderr=0.0, trials=cfg.trials,
                             escapes=0, taus=np.zeros(cfg.trials))
 
-    n = len(axis)
-    sub = cfg.substeps
-    # dt * U_h as (x/y, node), written straight into its final layout
-    scaled = np.empty((2, n * n))
-    np.multiply(table.reshape(n * n, 2).T, dt, out=scaled)
-    # Python floats, not numpy scalars: the scalar tail does all its
-    # arithmetic with them, and numpy scalar math is slower per operation
-    walk = _Walk(table=scaled, n=n, a0=float(axis[0]),
-                 inv=float((n - 1) / (axis[-1] - axis[0])),
-                 L=float(cfg.land.halfwidth),
-                 centre=cfg.target_center.astype(float), r2=float(r2),
-                 dt=float(dt), sub=sub, scale=math.sqrt(2.0 * h * dt / sub),
-                 max_steps=int(cfg.max_time / dt), chunk=chunk,
-                 seed=cfg.seed, start=cfg.start.astype(float))
     workers = min(forked.usable_cpus(), cfg.trials)
     shards = [range(w, cfg.trials, workers) for w in range(workers)]
     switch = -(-_TAIL_SWITCH // workers)
     results = forked.starmap(_run_shard,
-                             ((walk, shard, switch) for shard in shards))
+                             ((cfg, shard, switch) for shard in shards))
 
     taus = np.empty(cfg.trials)
-    escapes = unfinished = 0
-    for shard, (shard_taus, shard_escapes, shard_unfinished) in zip(
-            shards, results):
+    escapes = 0
+    for shard, (shard_taus, shard_escapes) in zip(shards, results):
         taus[shard.start::shard.step] = shard_taus
         escapes += shard_escapes
-        unfinished += shard_unfinished
+    unfinished = int(np.count_nonzero(~(taus <= cfg.max_time)))
     if unfinished:
         raise SdeError(
             f"{unfinished} of {cfg.trials} trials did not hit the target "
@@ -330,22 +299,41 @@ def _draw(g: np.random.Generator, draws: np.ndarray, out: np.ndarray) -> None:
         out += draws[:, s]
 
 
-def _run_shard(walk: _Walk, trials: range,
-               switch: int) -> tuple[np.ndarray, int, int]:
-    """Step the given trials to the target: (taus, escapes, unfinished).
+def _run_shard(cfg: SimulationConfig, trials: range,
+               switch: int) -> tuple[np.ndarray, int]:
+    """Step the given trials of cfg to the target: (taus, escapes).
 
-    Unfinished trials keep tau = nan.
+    Everything the walk needs is read off cfg: dt, h, substeps, seed,
+    start, target, box, max_time and the drift table, which is scaled by
+    dt here.  Steps are drawn _CHUNK at a time, and stepping stops at the
+    first chunk boundary past cfg.max_time; a trial still in flight there
+    keeps tau = nan, and one that hit past max_time keeps its tau, which
+    hitting_time_stats counts as unfinished too.  Escapes count the wall
+    reflections of paths still in flight.
     """
-    table, n, a0, inv, L = walk.table, walk.n, walk.a0, walk.inv, walk.L
-    r2, dt, chunk, max_steps = walk.r2, walk.dt, walk.chunk, walk.max_steps
-    gens = [np.random.default_rng([walk.seed, i]) for i in trials]
+    axis = cfg.drift.axis
+    n = len(axis)
+    # dt * U_h as (x/y, node), written straight into its final layout
+    table = np.empty((2, n * n))
+    np.multiply(cfg.drift.U.reshape(n * n, 2).T, cfg.dt, out=table)
+    # Python floats, not numpy scalars: the scalar tail does all its
+    # arithmetic with them, and numpy scalar math is slower per operation
+    a0 = float(axis[0])
+    inv = float((n - 1) / (axis[-1] - axis[0]))
+    L = float(cfg.land.halfwidth)
+    r2 = float(cfg.target_radius**2)
+    dt = float(cfg.dt)
+    scale = math.sqrt(2.0 * cfg.h * cfg.dt / cfg.substeps)
+    max_steps = int(cfg.max_time / cfg.dt)
+    chunk = _CHUNK
+    gens = [np.random.default_rng([cfg.seed, i]) for i in trials]
     taus = np.full(len(gens), np.nan)
     active = np.arange(len(gens))
-    X = np.tile(walk.start[:, None], (1, len(gens)))
-    draws = np.empty((chunk, walk.sub, 2))
+    X = np.tile(cfg.start.astype(float)[:, None], (1, len(gens)))
+    draws = np.empty((chunk, cfg.substeps, 2))
     # (ix, iy, 1) -> flat indices of the corners u00, u10, u01, u11
     corners = np.array([[n, 1, 0], [n, 1, n], [n, 1, 1], [n, 1, n + 1]])
-    centre = walk.centre[:, None]
+    centre = cfg.target_center.astype(float)[:, None]
     escapes = 0
     step = 0
 
@@ -356,12 +344,12 @@ def _run_shard(walk: _Walk, trials: range,
     # not depend on which phase steps it.
     while active.size > switch:
         if step > max_steps:
-            return taus, escapes, active.size
+            return taus, escapes
         rows = active.size
         noise = np.empty((rows, chunk, 2))
         for j, i in enumerate(active):
             _draw(gens[i], draws, noise[j])
-        noise *= walk.scale
+        noise *= scale
         noise_k = noise.transpose(1, 2, 0)
         P = X[:, active]
         alive = np.ones(rows, dtype=bool)
@@ -427,16 +415,15 @@ def _run_shard(walk: _Walk, trials: range,
     # dispatch sweep per surviving batch row.
     Ux = table[0].tolist()
     Uy = table[1].tolist()
-    cx, cy = float(walk.centre[0]), float(walk.centre[1])
+    cx, cy = float(centre[0, 0]), float(centre[1, 0])
     sums = np.empty((chunk, 2))
-    unfinished = 0
     for i in active:
         g = gens[i]
         x, y = float(X[0, i]), float(X[1, i])
         s = step
         while s <= max_steps:
             _draw(g, draws, sums)
-            rows = (walk.scale * sums).tolist()
+            rows = (scale * sums).tolist()
             for nx, ny in rows:
                 s += 1
                 fx = (x - a0) * inv
@@ -476,6 +463,4 @@ def _run_shard(walk: _Walk, trials: range,
             else:
                 continue
             break
-        else:
-            unfinished += 1
-    return taus, escapes, unfinished
+    return taus, escapes

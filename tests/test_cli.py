@@ -550,6 +550,28 @@ def test_refused_grid_fails_its_stage(stage, c, tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("landscape, words", [
+    # the box [-0.5, 0.5]^2 holds the saddle at 0 but neither minimum
+    ({"dimension": 2, "V": "(x^2-1)^2 + y^2", "box": 0.5}, "no minima"),
+    ({"dimension": 2, "V": "0.06*x^2*(x^2-4)^2 + y^2", "box": 3.2},
+     "tied deepest minima"),
+    ({"dimension": 2, "V": "log(x)"}, "no critical points"),
+], ids=["no-minima", "tied-minima", "no-critical-points"])
+def test_refused_landscape_fails_analyze(landscape, words, tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, landscape=landscape,
+                     stages=["analyze", "spectrum"], out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    assert words in capsys.readouterr().err
+    man = json.loads((out / "run_manifest.json").read_text())
+    failed, skipped = man["stages"]
+    assert failed["status"] == "failed"
+    assert failed["message"].startswith("analyze: ")
+    assert words in failed["message"]
+    assert "traceback" not in failed
+    assert skipped["status"] == "skipped"
+
+
 def test_spectrum_stage_reads_the_analyze_predictions(tmp_path,
                                                      monkeypatch):
     cells = []

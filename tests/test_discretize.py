@@ -372,6 +372,16 @@ def test_peclet_suggestion_passes_the_same_check():
     assert assemble(land, 0.3, Grid(2.0, n)).grid.n == n
 
 
+def test_peclet_refusal_reads_above_one():
+    # at n = 50 the Peclet number is 1.0025, which two decimals rounded to
+    # nearest print as 1.00
+    land = make_preset("tilted_double_well", c=1.0)
+    with pytest.raises(DiscretizationError, match="n >= 60") as refusal:
+        assemble(land, 0.3, Grid(2.0, 50))
+    shown = re.search(r"Peclet number (\S+) > 1", str(refusal.value))
+    assert float(shown.group(1)) > 1.0
+
+
 def test_critical_point_near_boundary_refused():
     # left minimum sits at x ~ -1.057; a box of halfwidth 1.2 leaves less
     # than 4 grid steps of margin at n = 48

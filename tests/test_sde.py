@@ -233,12 +233,13 @@ def _reflecting_box() -> SimulationConfig:
                             target_radius=0.3, sigma=1.0)
 
 
-def test_escapes_count_only_paths_still_in_flight():
-    # With chunk=1 no path takes a step past its hitting time, so both runs
-    # must agree on every count.
+def test_escapes_count_only_paths_still_in_flight(monkeypatch):
+    # With one-step chunks no path takes a step past its hitting time, so
+    # both runs must agree on every count.
     cfg = _reflecting_box()
     batched = hitting_time_stats(cfg)
-    stepwise = hitting_time_stats(cfg, chunk=1)
+    monkeypatch.setattr(sde, "_CHUNK", 1)
+    stepwise = hitting_time_stats(cfg)
     assert np.array_equal(batched.taus, stepwise.taus)
     assert batched.escapes > 0
     assert batched.escapes == stepwise.escapes
@@ -300,25 +301,16 @@ def test_path_does_not_depend_on_the_phase_that_steps_it(case, tilted_c0,
                           seed=7)
     else:
         cfg = _reflecting_box()
-    walks = []
-    run_shard = sde._run_shard
-
-    def spy(walk, trials, switch):
-        walks.append(walk)
-        return run_shard(walk, trials, switch)
-
     monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(sde, "_run_shard", spy)
     mixed = hitting_time_stats(cfg)
-    (walk,) = walks
     trials = range(cfg.trials)
     # switch 0: every trial stays in the batch; switch = all: every trial
     # is stepped by the scalar tail from its first step
-    batch = run_shard(walk, trials, 0)
-    tail = run_shard(walk, trials, len(trials))
+    batch = sde._run_shard(cfg, trials, 0)
+    tail = sde._run_shard(cfg, trials, len(trials))
     assert np.array_equal(batch[0], tail[0])
     assert np.array_equal(batch[0], mixed.taus)
-    assert batch[1:] == tail[1:] == (mixed.escapes, 0)
+    assert batch[1] == tail[1] == mixed.escapes
 
 
 def test_max_time_cap_raises(tilted_c0, monkeypatch):
@@ -326,11 +318,13 @@ def test_max_time_cap_raises(tilted_c0, monkeypatch):
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
                       start_well=tilted_c0.shallow_well, trials=4,
                       max_time=0.05)
-    # a trial stops at the first chunk boundary past max_time, so a short
-    # chunk keeps every trial short of the target: 32 steps of 1.9e-3,
-    # where one of these trials hits at 0.90, inside a 512-step chunk
-    with pytest.raises(SdeError, match=r"^4 of 4 trials .* max_time = 0\.05"):
-        hitting_time_stats(cfg, chunk=16)
+    # no trial hits within 0.05 (25 steps of 1.9e-3); one hits at 0.90,
+    # inside the first 512-step chunk, and still counts as unfinished
+    for chunk in (16, 512):
+        monkeypatch.setattr(sde, "_CHUNK", chunk)
+        with pytest.raises(SdeError,
+                           match=r"^4 of 4 trials .* max_time = 0\.05"):
+            hitting_time_stats(cfg)
     assert multiprocessing.active_children() == []
 
 
