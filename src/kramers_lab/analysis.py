@@ -6,7 +6,8 @@ transverse saddle data behind zeta(m) -> discretized generator per
 and kept for the life of the object, so the CLI stages and the tests that
 share an ``Analysis`` never repeat a critical-point search, a labelling, an
 assembly or an eigensolve.  ``solve_spectra`` fills the spectrum caches of
-many analyses at once, the solves fanned out by ``forked.starmap``.
+many analyses at once (``spectrum`` asks it for one), the solves fanned
+out by ``forked.starmap``.
 
 The package ``__init__`` does not import this module.  The benchmark's
 tracer (``perfbench/traced_cli.py``) wraps the library functions before it
@@ -68,29 +69,22 @@ class Analysis:
         return self._operators[key]
 
     def spectrum(self, h: float, n: int) -> SpectrumResult:
-        """Small spectrum of the weighted generator, two eigenvalues past
-        the labelled wells' count (at least six), solved in this process."""
-        key = (h, n)
-        if key not in self._spectra:
-            self._spectra[key] = small_spectrum(*self._solve_args(h, n))
-        return self._spectra[key]
-
-    def _solve_args(self, h: float, n: int) -> tuple[OperatorMatrix, int]:
-        """``small_spectrum``'s arguments, the same for ``spectrum`` and
-        ``solve_spectra``: the operator and the count."""
-        return self.operator(h, n), max(6, len(self.wm.wells) + 2)
+        """Small spectrum of the weighted generator, by ``solve_spectra``."""
+        solve_spectra([(self, h, n)])
+        return self._spectra[h, n]
 
 
 def solve_spectra(requests) -> None:
-    """Cache ``Analysis.spectrum(h, n)`` for every ``(analysis, h, n)``.
+    """Cache ``Analysis.spectrum(h, n)`` for every ``(analysis, h, n)``:
+    two eigenvalues past the labelled wells' count, at least six.
 
-    The spectra not yet cached are solved through ``forked.starmap`` with
-    ``Analysis.spectrum``'s solver and arguments, so the results are the
-    same; the operators are assembled in this process.
+    The spectra not yet cached are solved through ``forked.starmap``; the
+    operators are assembled in this process.
     """
     todo = [(ana, h, n) for ana, h, n in dict.fromkeys(requests)
             if (h, n) not in ana._spectra]
-    spectra = forked.starmap(small_spectrum, (ana._solve_args(h, n)
-                                              for ana, h, n in todo))
+    spectra = forked.starmap(small_spectrum, (
+        (ana.operator(h, n), max(6, len(ana.wm.wells) + 2))
+        for ana, h, n in todo))
     for (ana, h, n), res in zip(todo, spectra):
         ana._spectra[h, n] = res

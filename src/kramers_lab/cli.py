@@ -41,7 +41,9 @@ with ``graded.selftest``; like ``run`` it refuses ``--instances`` below 1
 and a negative ``--seed`` with exit code 2.
 
 Every run writes run_manifest.json (config, versions, stage outcomes,
-and per-cell diagnostics of the sde stage: dt, the guard, trial-steps);
+and per-cell diagnostics of the spectrum stage: cluster size, threshold,
+gap witness, kernel defect; and of the sde stage: dt, the guard,
+trial-steps);
 data files are CSV with a fixed number format, so identical config + seed
 reproduce byte-identical bodies.  Exit codes: 0 all stage assertions
 passed, 1 a stage failed, 2 config/usage error (an ``out`` the run cannot
@@ -380,11 +382,18 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
     solve_spectra([(ctx.analysis(c), h, cfg.grid_n)
                    for c in cfg.c for h in cfg.h])
     rows = []
+    cells = ctx.diagnostics["spectrum"] = []
     for c in cfg.c:
         ana = ctx.analysis(c)
         n0 = len(ana.wm.wells)
         for h in cfg.h:
             res = ana.spectrum(h, cfg.grid_n)
+            re = res.eigenvalues.real
+            cells.append({
+                "h": h, "c": c, "n0_observed": res.n0_observed,
+                "threshold": res.threshold, "gap_witness": res.gap_witness,
+                "kernel_defect": abs(float(re[0])) / float(re[1]),
+            })
             if res.n0_observed != n0:
                 raise StageFailure(
                     f"spectrum: cluster size {res.n0_observed} != number of "

@@ -13,12 +13,15 @@ evaluated symbolically.
 The weighted generator -h Delta + grad V . grad + b_h . grad on
 L^2(m_h) is derived from P on each use by the exact entrywise similarity
 L_ij = P_ij e^{(V_i - V_j)/2h} / h.  Spectra therefore satisfy
-eig(P) = h eig(L) to machine precision, boundary rows included, and for
-the preset drifts the weighted drift part is exactly antisymmetric, so
-Re<Lu, u>_w equals the (nonnegative) discrete Dirichlet form.
+eig(P) = h eig(L) to machine precision, and for the preset drifts the
+weighted drift part is exactly antisymmetric, so Re<Lu, u>_w equals the
+(nonnegative) discrete Dirichlet form.
 
-Boundary rows are identity (homogeneous Dirichlet); the truncation error
-is exponentially small because e^{-V/2h} is negligible at the box edge.
+The walls carry homogeneous Dirichlet data; the truncation error is
+exponentially small because e^{-V/2h} is negligible there.  P keeps
+identity rows on the walls so that L acts on full-grid vectors, but the
+solves see only their unknowns: they factor the block P[F, F] on the free
+nodes F, so the walls' eigenvalue 1/h never enters a spectrum.
 
 The small spectrum is found by shift-invert Arnoldi around zero on the
 flat form, driven by one sparse LU factor per solve.  The weighted matrix
@@ -245,21 +248,30 @@ class SpectrumResult:
     vectors: np.ndarray | None = None
 
 
+def _factor_free(op: OperatorMatrix, free: np.ndarray, shift: float):
+    """P[F, F], the flat form on the free nodes F (the unknowns of a solve;
+    the nodes off F hold zeros), and the LU factor of P[F, F] - shift I."""
+    A = op.flat[free][:, free]
+    shifted = A - shift * sp.identity(free.size, format="csc") if shift else A
+    return A, spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+
+
 def small_spectrum(op: OperatorMatrix, count: int = 6,
                    threshold: float | None = None,
                    vectors: bool = False) -> SpectrumResult:
     """Eigenvalues of smallest real part of the weighted generator, by
     shift-invert around zero.
 
-    The solve runs on the flat form (symmetric when b = 0) and the spectrum
-    is mapped back by the factor h; eigenvectors are unconjugated with a
-    log-domain shift so the ground-state weight never overflows.
+    The solve runs on the interior block of the flat form (symmetric when
+    b = 0) and the spectrum is mapped back by the factor h; eigenvectors
+    are unconjugated with a log-domain shift so the ground-state weight
+    never overflows, and are zero on the walls.
 
-    The flat matrix is factored once (SuperLU, minimum-degree ordering on
-    A^T + A) and ARPACK applies that factor as its shift-invert operator.
-    An exactly singular matrix is factored at the shift -1e-8 instead.
-    The Krylov space holds max(2 count + 1, 20) vectors, capped at N - 1,
-    and ARPACK converges to a relative tolerance of 1e-10.
+    The block is factored once (``_factor_free``) and ARPACK applies that
+    factor as its shift-invert operator.  An exactly singular block is
+    factored at the shift -1e-8 instead.  The Krylov space holds
+    max(2 count + 1, 20) vectors, capped at one less than the number of
+    interior nodes, and ARPACK converges to a relative tolerance of 1e-12.
 
     The metastable cluster is split from the rest at the largest jump in
     the sorted real parts when no explicit ``threshold`` is given; the
@@ -270,41 +282,34 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
     if count < 2:
         raise ValueError("small-spectrum counts below 2 leave no jump to "
                          "split the metastable cluster at")
-    A = op.flat
-    N = A.shape[0]
+    free = np.flatnonzero(~op.grid.boundary_mask())
     sigma = 0.0
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        A, lu = _factor_free(op, free, sigma)
     except RuntimeError:
         # exactly singular: shift off the kernel eigenvalue
         sigma = -1e-8
-        lu = spla.splu(A - sigma * sp.identity(N, format="csc"),
-                       permc_spec="MMD_AT_PLUS_A")
+        A, lu = _factor_free(op, free, sigma)
     # fixed start vector: ARPACK's internal seed is stateful across calls,
     # which would make repeated runs in one process differ in the last bits
-    out = spla.eigs(A, k=count, sigma=sigma, which="LM", tol=1e-10,
-                    ncv=min(N - 1, max(2 * count + 1, 20)),
-                    maxiter=400 * count, v0=np.ones(N),
+    out = spla.eigs(A, k=count, sigma=sigma, which="LM", tol=1e-12,
+                    ncv=min(free.size - 1, max(2 * count + 1, 20)),
+                    maxiter=400 * count, v0=np.ones(free.size),
                     OPinv=spla.LinearOperator(A.shape, matvec=lu.solve,
                                               dtype=A.dtype),
                     return_eigenvectors=vectors)
     vals, vecs = (out if vectors else (out, None))
-    vals = vals / op.h
-    if vecs is not None:
-        logw = op.V_nodes / (2.0 * op.h)
-        cols = []
-        for k in range(vecs.shape[1]):
-            x = vecs[:, k]
-            mag = np.abs(x)
-            t = np.log(mag + 1e-300) + logw
-            phase = np.where(mag > 0, x / (mag + 1e-300), 0.0)
-            v = phase * np.exp(t - t.max())
-            cols.append(v / max(op.norm(v), 1e-300))
-        vecs = np.stack(cols, axis=1)
     order = np.argsort(vals.real)
-    vals = vals[order]
+    vals = vals[order] / op.h
     if vecs is not None:
-        vecs = vecs[:, order]
+        # u = e^{V/2h} x, each column scaled by its largest entry
+        x = vecs[:, order]
+        mag = np.abs(x)
+        t = np.log(mag + 1e-300) + op.V_nodes[free, None] / (2.0 * op.h)
+        u = np.zeros((op.grid.size, count), dtype=x.dtype)
+        u[free] = x / (mag + 1e-300) * np.exp(t - t.max(axis=0))
+        norms = np.sqrt(op.weights @ np.abs(u) ** 2 * op.quadrature)
+        vecs = u / np.maximum(norms, 1e-300)
 
     re = vals.real
     if threshold is None:
@@ -328,9 +333,9 @@ def solve_dirichlet(op: OperatorMatrix, absorbing, f) -> np.ndarray:
     first-passage time into the target (Dynkin).
 
     With u = e^{V/2h} v the problem is P_FF v = h e^{-V/2h} f on the free
-    nodes F, solved on the stored flat form (one sparse LU, ordered as in
-    small_spectrum), so the solve stays well scaled.  Both conjugations
-    run relative to min V over F, the second in the log domain as
+    nodes F, factored by ``_factor_free`` as small_spectrum's interior
+    block is, so the solve stays well scaled.  Both conjugations run
+    relative to min V over F, the second in the log domain as
     small_spectrum unconjugates, so no weight overflows.
     """
     free = np.flatnonzero(~(np.asarray(absorbing, dtype=bool)
@@ -338,8 +343,7 @@ def solve_dirichlet(op: OperatorMatrix, absorbing, f) -> np.ndarray:
     V = op.V_nodes[free]
     shift = (V - V.min()) / (2.0 * op.h)
     b = op.h * np.asarray(f, dtype=float)[free] * np.exp(-shift)
-    v = spla.splu(op.flat[free][:, free],
-                  permc_spec="MMD_AT_PLUS_A").solve(b)
+    v = _factor_free(op, free, 0.0)[1].solve(b)
     u = np.zeros(op.grid.size)
     u[free] = np.sign(v) * np.exp(np.log(np.abs(v) + 1e-300) + shift)
     return u

@@ -62,6 +62,7 @@ def test_at_most_one_solve_child_per_cpu(tilted_c0, monkeypatch):
     assert multiprocessing.active_children() == []
     assert gc.get_freeze_count() == 0
     for h in hs:
-        direct = small_spectrum(*ana._solve_args(h, 64))
+        # two wells: the count solve_spectra asks for is six
+        direct = small_spectrum(ana.operator(h, 64), 6)
         assert np.array_equal(ana._spectra[h, 64].eigenvalues,
                               direct.eigenvalues)

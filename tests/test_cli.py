@@ -210,6 +210,13 @@ def test_spectrum_sweep_rows(tilted_run):
     assert k0[2] == "0" and abs(float(k0[3])) < 1e-6 and k0[6] == ""
     assert k1[2] == "1"
     assert float(k1[6]) == pytest.approx(0.907, abs=0.01)
+    # the manifest's spectrum diagnostics come from the same solve
+    man = json.loads((tilted_run / "run_manifest.json").read_text())
+    (cell,) = man["diagnostics"]["spectrum"]
+    assert (cell["h"], cell["c"], cell["n0_observed"]) == (0.2, 0.0, 2)
+    assert float(k1[3]) < cell["threshold"] < cell["gap_witness"]
+    assert cell["kernel_defect"] == pytest.approx(
+        abs(float(k0[3])) / float(k1[3]), rel=1e-9)
 
 
 def test_quasimode_report_and_field_export(tilted_run):

@@ -129,13 +129,15 @@ def test_constant_kernel_residual_is_second_order():
 
 def test_weighted_and_flat_spectra_agree():
     # eig(P) = h * eig(L): SciPy's own shift-invert solve of the flat form
-    # against small_spectrum's weighted eigenvalues
+    # on the interior nodes against small_spectrum's weighted eigenvalues
     import scipy.sparse.linalg as spla
 
     land = make_preset("tilted_double_well", c=1.0)
     h = 0.2
     op = assemble(land, h, Grid(2.0, 96))
-    a = np.sort(spla.eigs(op.flat, k=6, sigma=0.0, v0=np.ones(op.grid.size),
+    F = np.flatnonzero(~op.grid.boundary_mask())
+    a = np.sort(spla.eigs(op.flat[F][:, F], k=6, sigma=0.0,
+                          v0=np.ones(F.size),
                           return_eigenvectors=False).real) / h
     b = np.sort(small_spectrum(op, 6).eigenvalues.real)
     rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-8 * abs(b[-1]))
@@ -161,11 +163,13 @@ def test_weighted_adjoint_is_drift_reversal():
     W = sp.diags(op_f.weights)
     diff = abs((W @ op_f.matrix).T - W @ op_b.matrix).max()
     assert diff <= 1e-12 * abs(W @ op_f.matrix).max()
-    # and the small spectra are complex conjugates of each other; ask for
-    # six and compare five so a conjugate pair is never cut at the boundary
-    sf = np.sort_complex(small_spectrum(op_f, 6).eigenvalues[:5])
-    sb = np.sort_complex(np.conj(small_spectrum(op_b, 6).eigenvalues[:5]))
-    assert np.max(np.abs(sf - sb)) <= 1e-8 * np.abs(sf[-1])
+    # and the small spectra are complex conjugates of each other; the six
+    # returned are closed under conjugation, so no pair is cut
+    sf = np.sort_complex(small_spectrum(op_f, 6).eigenvalues)
+    sb = np.sort_complex(np.conj(small_spectrum(op_b, 6).eigenvalues))
+    tol = 1e-8 * np.abs(sf[-1])
+    assert np.max(np.abs(sf - np.sort_complex(np.conj(sf)))) <= tol
+    assert np.max(np.abs(sf - sb)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +253,13 @@ def test_eigenpairs_have_round_off_flat_residuals():
     res = (np.linalg.norm(P @ X - X * lam, axis=0)
            / (spla.norm(P, 1) * np.linalg.norm(X, axis=0)))
     assert res.max() <= 1e-13
+    assert np.allclose([op.norm(v) for v in s.vectors.T], 1.0, rtol=1e-12)
+    # the walls hold no unknowns: their eigenvalue 1/h is never returned,
+    # so it cannot take the place of a conjugate partner
+    assert np.all(np.abs(s.eigenvalues * h - 1.0) > 1e-9)
+    ev = np.sort_complex(s.eigenvalues)
+    assert np.max(np.abs(ev - np.sort_complex(np.conj(ev)))) \
+        <= 1e-8 * np.abs(ev).max()
 
 
 def test_exactly_singular_matrix_takes_the_shifted_factor():
@@ -258,8 +269,11 @@ def test_exactly_singular_matrix_takes_the_shifted_factor():
     import scipy.sparse.linalg as spla
 
     op = assemble(make_preset("tilted_double_well"), 0.2, Grid(2.0, 32))
-    # diag(0, 1, 2, ...): the zero pivot makes every LU ordering fail
-    A = sp.diags(np.arange(op.grid.size, dtype=float)).tocsc()
+    # identity on the walls and diag(0, 1, 2, ...) on the interior nodes:
+    # the zero pivot at the first interior node makes every LU ordering fail
+    d = op.grid.boundary_mask().astype(float)
+    d[d == 0] = np.arange(np.count_nonzero(d == 0))
+    A = sp.diags(d).tocsc()
     with pytest.raises(RuntimeError, match="singular"):
         spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     s = small_spectrum(dataclasses.replace(op, flat=A), 6)
@@ -277,8 +291,9 @@ def test_large_counts_match_a_wide_krylov_reference(count):
     assert got.size == count
     # reference: SciPy's own shift-invert factor, a 120-vector Krylov
     # space, tighter tolerance and four extra eigenvalues
-    ref = spla.eigs(op.flat, k=count + 4, sigma=0.0,
-                    ncv=120, tol=1e-12, v0=np.ones(op.grid.size),
+    F = np.flatnonzero(~op.grid.boundary_mask())
+    ref = spla.eigs(op.flat[F][:, F], k=count + 4, sigma=0.0,
+                    ncv=120, tol=1e-12, v0=np.ones(F.size),
                     return_eigenvectors=False) / h
     for lam in got:
         assert np.min(np.abs(ref - lam)) <= 1e-8 * max(abs(lam), 1e-3)
