@@ -42,8 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .landscape import Landscape, find_critical_points, validate_stationarity
-from . import expr as ex
+from .landscape import Landscape, find_critical_points
 
 
 class DiscretizationError(ValueError):
@@ -182,7 +181,7 @@ def assemble(land: Landscape, h: float, grid: Grid,
     """Build the flat form of the generator on the given grid."""
     if not 0 < h <= 1:
         raise DiscretizationError(f"h must lie in (0, 1], got {h}")
-    report = validate_stationarity(land)
+    report = land.stationarity
     if not report.passed:
         raise DiscretizationError(
             f"drift fields are not admissible: {report.describe()}")
@@ -220,8 +219,8 @@ def assemble(land: Landscape, h: float, grid: Grid,
         pvals.append(-h * h / dx**2
                      + sign * h * bh[keep, axis] / (2.0 * dx))
     # zeroth-order drift term b_h . grad phi = (b + h nu) . grad V / 2
-    zo = (0.5 * ex.evaluate_many(land.b_dot_grad_V, pts[idx])
-          + 0.5 * h * ex.evaluate_many(land.nu_dot_grad_V, pts[idx]))
+    zo = (0.5 * land.evaluate(land.b_dot_grad_V, pts[idx])
+          + 0.5 * h * land.evaluate(land.nu_dot_grad_V, pts[idx]))
     diag[idx] += zo
 
     P = sp.coo_matrix(

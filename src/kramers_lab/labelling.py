@@ -1,9 +1,10 @@
 """Sublevel-set topology and the recursive labelling of minima.
 
 For a Morse potential the metastable hierarchy is encoded by *separating
-saddles*: index-1 critical points s such that the two local descent pockets
-of ``B(s, r) & {V < V(s)}`` lie in distinct connected components of the
-global strict sublevel set.  Sweeping the separating saddle values
+saddles*: index-1 critical points s whose two descent pockets, each
+sampled by one node a few grid steps from s along the unstable Hessian
+eigenvector, lie in distinct connected components of the strict sublevel
+set just below V(s).  Sweeping the separating saddle values
 ``sigma_2 > ... > sigma_N`` downwards (with a fictive ``sigma_1 = +inf``),
 each round labels the new components of ``{V < sigma_i}`` that contain no
 previously labelled minimum: the component E(m) is attached to its deepest
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 VALUE_TIE_TOL = 1e-10   # two critical values closer than this count as equal
+POCKET_STEPS = 3        # grid steps from a saddle to its pocket sample nodes
 
 
 class LabellingError(RuntimeError):
@@ -115,72 +117,43 @@ class SaddleSeparation:
 
     saddle: CriticalPoint
     level: float                     # V(s) - eps used for the test
-    pocket_points: tuple[np.ndarray, np.ndarray]   # deepest node of each pocket
+    pocket_points: tuple[np.ndarray, np.ndarray]   # one node in each pocket
     separating: bool
-
-
-def _local_pockets(topo: SublevelTopology, s: CriticalPoint, level: float,
-                   ball_steps: int) -> list[tuple[int, ...]]:
-    """Deepest node of each component of B(s, ball_steps*dx) & {V < level}."""
-    center = topo.grid.ij_of(s.point)
-    r = ball_steps
-    slices = tuple(
-        slice(max(0, c - r), min(topo.grid.n, c + r + 1)) for c in center
-    )
-    sub = topo.values[slices]
-    offsets = np.indices(sub.shape)
-    dist2 = sum(
-        (offsets[k] + slices[k].start - center[k]) ** 2
-        for k in range(sub.ndim)
-    )
-    mask = (sub < level) & (dist2 <= r * r)
-    labels, n = label_components(mask)
-    pockets = []
-    for lab in range(1, n + 1):
-        inside = labels == lab
-        flat = np.argmin(np.where(inside, sub, np.inf))
-        node = np.unravel_index(flat, sub.shape)
-        pockets.append(tuple(node[k] + slices[k].start for k in range(sub.ndim)))
-    return pockets
 
 
 def separating_saddles(
     criticals: list[CriticalPoint],
     topo: SublevelTopology,
-    ball_steps: int = 3,
 ) -> list[SaddleSeparation]:
     """Classify every index-1 critical point as separating or not.
 
-    The local test looks at B(s, 3 grid steps) & {V < V(s) - eps} with eps one
-    grid-quantum of descent (0.5 |lambda_1| dx^2); exactly two local pockets
-    must appear, else the grid is declared too coarse.  The saddle separates
-    iff the pockets fall in distinct global components of the sublevel set.
+    Each descent pocket of a saddle s is sampled by one node: the node
+    nearest s +- 3 dx e, with e the unit eigenvector of the Hessian's
+    negative eigenvalue lambda_1.  Both nodes must lie below the level
+    V(s) - eps, eps one grid-quantum of descent (0.5 |lambda_1| dx^2), else
+    the grid is declared too coarse.  The saddle separates iff the two
+    nodes fall in distinct components of {V < V(s) - eps}.
     """
+    grid = topo.grid
     out = []
     for s in criticals:
         if not s.is_saddle:
             continue
-        lam1 = np.linalg.eigvalsh(s.hessian)[0]        # the negative one
-        eps = 0.5 * abs(lam1) * topo.grid.spacing**2
-        level = s.value - eps
-        pockets = _local_pockets(topo, s, level, ball_steps)
-        if len(pockets) != 2:
-            raise LabellingError(
-                f"ambiguous local structure at saddle {s.point} "
-                f"({len(pockets)} pockets in the {ball_steps}-step ball); "
-                "grid too coarse, increase the labelling resolution"
-            )
+        lam, vec = np.linalg.eigh(s.hessian)     # lam[0] is the negative one
+        level = s.value - 0.5 * abs(lam[0]) * grid.spacing**2
+        ray = POCKET_STEPS * grid.spacing * vec[:, 0]
+        nodes = [grid.ij_of(s.point + ray), grid.ij_of(s.point - ray)]
         labels, _ = topo.components(level)
-        la, lb = labels[pockets[0]], labels[pockets[1]]
-        if la == 0 or lb == 0:
+        if labels[nodes[0]] == 0 or labels[nodes[1]] == 0:
             raise LabellingError(
-                f"pocket node fell outside the sublevel set at saddle "
-                f"{s.point}; grid too coarse"
-            )
-        grid_pts = tuple(topo.grid.axis[list(p)] for p in pockets)
+                f"a descent pocket node {POCKET_STEPS} steps from the saddle "
+                f"at {s.point} is not below V(s) - eps; grid too coarse: the "
+                f"labelling grid has {grid.n} nodes across the box, so "
+                "shrink the box")
         out.append(SaddleSeparation(
-            saddle=s, level=level, pocket_points=grid_pts,
-            separating=bool(la != lb),
+            saddle=s, level=level,
+            pocket_points=tuple(grid.axis[list(ij)] for ij in nodes),
+            separating=bool(labels[nodes[0]] != labels[nodes[1]]),
         ))
     return out
 

@@ -18,7 +18,7 @@ import pytest
 from kramers_lab import analysis, cli, forked, graded
 from kramers_lab.analysis import Analysis
 from kramers_lab.cli import ConfigError, main, parse_config
-from kramers_lab.landscape import make_preset
+from kramers_lab.landscape import make_preset, validate_stationarity
 from kramers_lab.saddle import predict_spectrum
 
 
@@ -294,6 +294,22 @@ def test_sde_stage_report(tmp_path, monkeypatch):
         150 * float(mean) / cell["dt"], rel=1e-6)
 
 
+def test_sde_stage_gates_against_the_discrete_mfpt(tmp_path):
+    # the start well's path to the target crosses the middle well, so the
+    # mean sits near u(start) = 1.975/lambda_2; seed 6 draws it past
+    # 2/lambda_2
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, landscape={"preset": "triple_well"},
+                     h=[0.2], c=[0.0], grid={"n": 96}, sde={"trials": 200},
+                     stages=["analyze", "spectrum", "sde"], seed=6,
+                     out=str(out))
+    assert main(["run", str(cfg)]) == 0
+    _, rows = _read_csv(out / "sde_report.csv")
+    (_, _, mean, _, _, ratio, mfpt, _), = rows
+    assert float(ratio) > 2.0
+    assert 0.5 <= float(mean) / float(mfpt) <= 2.0
+
+
 def test_sde_stage_needs_a_start_well(tmp_path):
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path,
@@ -563,7 +579,12 @@ def test_refused_grid_fails_its_stage(stage, c, tmp_path, capsys):
     ({"dimension": 2, "V": "0.06*x^2*(x^2-4)^2 + y^2", "box": 3.2},
      "tied deepest minima"),
     ({"dimension": 2, "V": "log(x)"}, "no critical points"),
-], ids=["no-minima", "tied-minima", "no-critical-points"])
+    ({"dimension": 2, "V": "exp(800*x) + y^2"},
+     "cannot be evaluated on the box [-2, 2]^2"),
+    ({"dimension": 2, "V": "log(x+1.5) + x^2 + y^2"},
+     "cannot be evaluated on the box [-2, 2]^2"),
+], ids=["no-minima", "tied-minima", "no-critical-points", "overflow",
+        "log-domain"])
 def test_refused_landscape_fails_analyze(landscape, words, tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, landscape=landscape,
@@ -577,6 +598,26 @@ def test_refused_landscape_fails_analyze(landscape, words, tmp_path, capsys):
     assert words in failed["message"]
     assert "traceback" not in failed
     assert skipped["status"] == "skipped"
+
+
+def test_stationarity_is_validated_once_per_landscape(tmp_path,
+                                                     monkeypatch):
+    seen = []
+
+    def spy(land):
+        seen.append(land)
+        return validate_stationarity(land)
+
+    monkeypatch.setattr("kramers_lab.landscape.validate_stationarity", spy)
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     c=[0.0, 0.5], h=[0.2, 0.3], grid={"n": 64},
+                     stages=["analyze", "spectrum"],
+                     out=str(tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+    # two landscapes, four assemblies
+    assert len(seen) == 2
+    assert seen[0] is not seen[1]
 
 
 def test_spectrum_stage_reads_the_analyze_predictions(tmp_path,

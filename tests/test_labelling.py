@@ -9,6 +9,7 @@ import pytest
 from scipy import ndimage
 
 from kramers_lab import expr as ex
+from kramers_lab.analysis import Analysis
 from kramers_lab.landscape import Landscape, find_critical_points, make_preset
 from kramers_lab.labelling import (
     LabellingError,
@@ -19,6 +20,7 @@ from kramers_lab.labelling import (
     label_minima,
     separating_saddles,
 )
+from kramers_lab.saddle import predict_spectrum
 
 
 def build(name, **kw):
@@ -80,6 +82,24 @@ def test_all_preset_saddles_are_separating():
         seps = separating_saddles(cps, topo)
         assert len(seps) == sum(cp.is_saddle for cp in cps)
         assert all(s.separating for s in seps)
+
+
+def test_rotated_tilted_well_labels_like_the_unrotated_one():
+    # the tilted double well with its axes oblique to the grid,
+    # u = 0.8x + 0.6y: a ball around the saddle cut slivers off its pockets
+    zero = ex.constant(0.0)
+    rotated = Landscape(
+        V=ex.parse("((0.8*x+0.6*y)^2 - 1)^2 + 0.5*(0.8*x+0.6*y)"
+                   " + (0.6*x-0.8*y)^2", 2),
+        b=(zero, zero), nu=(zero, zero), halfwidth=2.0)
+    ana = Analysis(rotated)
+    assert len(ana.wm.wells) == 2
+    lam = max(p.lam for p in predict_spectrum(ana.wm, ana.data, 0.2))
+    plain = Analysis(make_preset("tilted_double_well"))
+    # 0.0506099...
+    assert lam == pytest.approx(
+        max(p.lam for p in predict_spectrum(plain.wm, plain.data, 0.2)),
+        rel=1e-9)
 
 
 def test_quartet_has_one_non_separating_saddle():
@@ -236,5 +256,12 @@ def test_flood_component_and_guards():
         flood_component(mask, topo.grid.ij_of([saddle.point[0], 1.9]))
     with pytest.raises(ValueError):
         SublevelTopology(land, resolution=8)
-    with pytest.raises(LabellingError, match="grid too coarse|ambiguous"):
-        separating_saddles(cps, topo, ball_steps=0)
+    # a saddle far stiffer across its descent ray than along it: the nodes
+    # nearest the ray sit above V(s) - eps
+    narrow = Landscape(V=ex.parse("0.01*(x^2-1)^2 + 50*y^2", 2),
+                       b=(ex.constant(0.0), ex.constant(0.0)),
+                       nu=(ex.constant(0.0), ex.constant(0.0)),
+                       halfwidth=2.0)
+    with pytest.raises(LabellingError, match="grid too coarse"):
+        separating_saddles(find_critical_points(narrow),
+                           SublevelTopology(narrow))

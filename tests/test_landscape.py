@@ -74,7 +74,7 @@ def test_gradient_vanishes_and_hessian_is_symmetric():
         assert np.linalg.norm(land.grad_V_at(cp.point[None, :])) < 1e-9
         np.testing.assert_allclose(cp.hessian, cp.hessian.T, atol=1e-12)
         # b must vanish at critical points (it is proportional to grad V here)
-        assert np.linalg.norm(land.b_at(cp.point[None, :])) <= 1e-8
+        assert np.linalg.norm(land.b_h_at(cp.point[None, :], 0.0)) <= 1e-8
 
 
 def test_degenerate_potential_raises_morse_violation():
@@ -175,7 +175,8 @@ def test_preset_drift_is_linear_in_c():
     doubled = make_preset("triple_well", c=2.0)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, size=(20, 2))
-    np.testing.assert_allclose(doubled.b_at(pts), 2.0 * base.b_at(pts), rtol=1e-14)
+    np.testing.assert_allclose(doubled.b_h_at(pts, 0.0),
+                               2.0 * base.b_h_at(pts, 0.0), rtol=1e-14)
     assert validate_stationarity(doubled).passed
 
 
