@@ -1,7 +1,8 @@
 """The analysis chain of one landscape, each link built on first use.
 
 critical points -> labelled wells (sigma(m), S(m), separating saddles) ->
-transverse saddle data behind zeta(m) -> discretized generator per
+transverse saddle data -> one prediction record per well (zeta(m) and
+the quasimode asymptotics, for every h) -> discretized generator per
 (h, n) -> its small spectrum per (h, n).  Every link is computed once
 and kept for the life of the object, so the CLI stages and the tests that
 share an ``Analysis`` never repeat a critical-point search, a labelling, an
@@ -24,7 +25,8 @@ from .discretize import (Grid, OperatorMatrix, SpectrumResult, assemble,
                          small_spectrum)
 from .labelling import LabelledWell, SublevelTopology, WellMap, label_minima
 from .landscape import CriticalPoint, Landscape, find_critical_points
-from .saddle import SaddleSpectralData, transverse_map
+from .saddle import (SaddleSpectralData, WellPrediction, predict_spectrum,
+                     transverse_map)
 
 
 class Analysis:
@@ -47,6 +49,11 @@ class Analysis:
     def data(self) -> dict[int, SaddleSpectralData]:
         """Transverse data keyed by ``id()`` of the saddles in ``wm``."""
         return transverse_map(self.land, self.wm)
+
+    @cached_property
+    def predictions(self) -> list[WellPrediction]:
+        """One ``predict_spectrum`` record per well, in round order."""
+        return predict_spectrum(self.wm, self.data)
 
     @property
     def shallow_well(self) -> LabelledWell:

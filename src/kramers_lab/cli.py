@@ -45,9 +45,10 @@ first-passage time u(start) from ``sde.mean_first_passage``, within a
 factor 2; 1/lambda_2 stays a report column.
 
 Every run writes run_manifest.json (config, versions, stage outcomes,
-and per-cell diagnostics of the spectrum stage: cluster size, threshold,
-gap witness, kernel defect; and of the sde stage: dt, the guard,
-trial-steps);
+the analyze stage's genericity report per c: whether the well map meets
+the paper's generic assumption, and its violations; and per-cell
+diagnostics of the spectrum stage: cluster size, threshold, gap witness,
+kernel defect; and of the sde stage: dt, the guard, trial-steps);
 data files are CSV with a fixed number format, so identical config + seed
 reproduce byte-identical bodies.  Exit codes: 0 all stage assertions
 passed, 1 a stage failed (a refused landscape included: one the box
@@ -83,10 +84,8 @@ from .quasimode import (
     build_cutoffs,
     build_quasimode,
     dirichlet_and_residuals,
-    predicted_dirichlet,
-    predicted_norm_sq,
 )
-from .saddle import UnsupportedCaseError, predict_spectrum
+from .saddle import UnsupportedCaseError
 from .sde import (SdeError, hitting_time_stats, make_config,
                   mean_first_passage)
 
@@ -316,7 +315,6 @@ class _Context:
 
     cfg: RunConfig
     analyses: dict = field(default_factory=dict)   # c -> Analysis
-    predictions: dict = field(default_factory=dict)  # c -> {h: predictions}
     graded: Forked | None = None                   # the graded self-test
     diagnostics: dict = field(default_factory=dict)  # stage -> cell records
 
@@ -344,6 +342,7 @@ class _Context:
 def _stage_analyze(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
     rows = []
+    cells = ctx.diagnostics["analyze"] = []
     for c in cfg.c:
         ana = ctx.analysis(c)
         station = ana.land.stationarity
@@ -351,15 +350,14 @@ def _stage_analyze(ctx: _Context) -> list[str]:
             raise StageFailure(
                 "analyze: drift field violates stationarity of exp(-V/h): "
                 + station.describe())
-        wm, data = ana.wm, ana.data
-        preds = ctx.predictions[c] = {h: predict_spectrum(wm, data, h)
-                                      for h in cfg.h}
-        for i in range(len(wm.wells)):
-            base = preds[cfg.h[0]][i]
-            row = [c,
-                   float(base.minimum.point[0]), float(base.minimum.point[1]),
-                   float(base.minimum.value), base.S, base.zeta]
-            row.extend(preds[h][i].lam for h in cfg.h)
+        report = ana.wm.genericity
+        cells.append({"c": c, "generic": report.generic,
+                      "violations": list(report.violations)})
+        for p in ana.predictions:
+            m = p.well.minimum
+            row = [c, float(m.point[0]), float(m.point[1]), float(m.value),
+                   p.S, p.zeta]
+            row.extend(p.lam(h) for h in cfg.h)
             rows.append(row)
 
     header = ["c", "m_x", "m_y", "V_m", "S", "zeta"]
@@ -403,7 +401,7 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
                 raise StageFailure(
                     f"spectrum: cluster size {res.n0_observed} != number of "
                     f"labelled wells {n0} at h={_fmt(h)}, c={_fmt(c)}")
-            ek = sorted(p.lam for p in ctx.predictions[c][h])
+            ek = sorted(p.lam(h) for p in ana.predictions)
             for k in range(n0):
                 lam = res.eigenvalues[k]
                 ratio = lam.real / ek[k] if ek[k] > 0 else ""
@@ -428,9 +426,8 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
         ana = ctx.analysis(c)
         land, wm, data = ana.land, ana.wm, ana.data
         grid = Grid(halfwidth=land.halfwidth, n=cfg.grid_n)
-        for well in sorted(wm.wells, key=lambda w: w.round_index):
-            if well.is_global:
-                continue
+        for pred in ana.predictions[1:]:       # the global well is first
+            well = pred.well
             try:
                 geom = build_cutoffs(well, wm, data, land, grid)
             except GeometryError as e:
@@ -440,8 +437,8 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
             for h in cfg.h:
                 qm = build_quasimode(well, geom, ana.operator(h, cfg.grid_n))
                 forms = dirichlet_and_residuals(qm)
-                norm_pred = predicted_norm_sq(well, wm, h)
-                dir_pred = predicted_dirichlet(well, data, h)
+                norm_pred = pred.norm_sq(h)
+                dir_pred = pred.dirichlet(h)
                 norm_ratio = qm.norm**2 / norm_pred
                 rows.append([
                     c, h, well.round_index, qm.norm**2, norm_pred,

@@ -271,6 +271,9 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
     factored at the shift -1e-8 instead.  The Krylov space holds
     max(2 count + 1, 20) vectors, capped at one less than the number of
     interior nodes, and ARPACK converges to a relative tolerance of 1e-12.
+    ARPACK returns ``count`` values and may cut a conjugate pair in two;
+    the missing partner (with the conjugated eigenvector) is appended, so
+    ``count`` or ``count + 1`` values come back.
 
     The metastable cluster is split from the rest at the largest jump in
     the sorted real parts when no explicit ``threshold`` is given; the
@@ -298,6 +301,12 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
                                               dtype=A.dtype),
                     return_eigenvectors=vectors)
     vals, vecs = (out if vectors else (out, None))
+    # P is real: append the partner of any conjugate pair that k cut
+    lone = [i for i, v in enumerate(vals)
+            if v.imag and v.conjugate() not in vals]
+    vals = np.concatenate([vals, vals[lone].conj()])
+    if vecs is not None:
+        vecs = np.hstack([vecs, vecs[:, lone].conj()])
     order = np.argsort(vals.real)
     vals = vals[order] / op.h
     if vecs is not None:
@@ -305,7 +314,7 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
         x = vecs[:, order]
         mag = np.abs(x)
         t = np.log(mag + 1e-300) + op.V_nodes[free, None] / (2.0 * op.h)
-        u = np.zeros((op.grid.size, count), dtype=x.dtype)
+        u = np.zeros((op.grid.size, vals.size), dtype=x.dtype)
         u[free] = x / (mag + 1e-300) * np.exp(t - t.max(axis=0))
         norms = np.sqrt(op.weights @ np.abs(u) ** 2 * op.quadrature)
         vecs = u / np.maximum(norms, 1e-300)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +36,7 @@ from .landscape import CriticalPoint, Landscape
 __all__ = [
     "SublevelTopology", "SaddleSeparation", "LabelledWell", "WellMap",
     "GenericityReport", "LabellingError", "separating_saddles",
-    "label_minima", "check_generic", "flood_component", "label_components",
+    "label_minima", "flood_component", "label_components",
 ]
 
 VALUE_TIE_TOL = 1e-10   # two critical values closer than this count as equal
@@ -187,6 +189,12 @@ class LabelledWell:
 
 
 @dataclass(frozen=True)
+class GenericityReport:
+    generic: bool
+    violations: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class WellMap:
     wells: tuple[LabelledWell, ...]
     separations: tuple[SaddleSeparation, ...]
@@ -195,6 +203,30 @@ class WellMap:
     @property
     def global_well(self) -> LabelledWell:
         return next(w for w in self.wells if w.is_global)
+
+    @cached_property
+    def genericity(self) -> GenericityReport:
+        """The paper's generic assumption: a unique deepest minimum in
+        every labelled component, and disjoint j(m) sets."""
+        violations: list[str] = []
+        ij = self.topo.grid.ij_of
+        for w in self.wells:
+            # E(m) at its level; the global well's level +inf holds all
+            labels, _ = self.topo.components(w.level)
+            own = labels[ij(w.minimum.point)]
+            values = sorted(x.minimum.value for x in self.wells
+                            if labels[ij(x.minimum.point)] == own)
+            if len(values) > 1 and values[1] - values[0] <= VALUE_TIE_TOL:
+                violations.append(
+                    f"component of minimum {w.minimum.point} has tied "
+                    f"deepest minima (values {values[0]:.12g}, "
+                    f"{values[1]:.12g})")
+        for a, b in combinations(self.wells, 2):
+            if {id(s) for s in a.saddles} & {id(s) for s in b.saddles}:
+                violations.append(f"j(m) sets of minima {a.minimum.point} "
+                                  f"and {b.minimum.point} overlap")
+        return GenericityReport(generic=not violations,
+                                violations=tuple(violations))
 
     def E_mask(self, well: LabelledWell) -> np.ndarray:
         """Grid mask of E(m) on the labelling grid."""
@@ -307,58 +339,3 @@ def label_minima(
             "(no separating saddle isolates them; check the landscape or grid)"
         )
     return WellMap(wells=tuple(wells), separations=tuple(seps), topo=topo)
-
-
-# ---------------------------------------------------------------------------
-# Genericity checks
-
-@dataclass(frozen=True)
-class GenericityReport:
-    generic: bool
-    double_well_equal_depth: bool
-    violations: tuple[str, ...]
-
-
-def check_generic(wm: WellMap) -> GenericityReport:
-    """Unique deepest minimum per labelled component and disjoint j(m) sets.
-
-    The equal-depth double well (exactly two minima at the same value) is
-    reported separately: the sharp prefactor still exists for it via the
-    symmetrized formula.
-    """
-    violations: list[str] = []
-    minima = [w.minimum for w in wm.wells]
-
-    for w in wm.wells:
-        labels, _ = wm.topo.components(w.level)
-        if w.is_global:
-            members = minima
-        else:
-            lab = labels[wm.topo.grid.ij_of(w.minimum.point)]
-            members = [m for m in minima
-                       if labels[wm.topo.grid.ij_of(m.point)] == lab]
-        values = sorted(m.value for m in members)
-        if len(values) > 1 and values[1] - values[0] <= VALUE_TIE_TOL:
-            violations.append(
-                f"component of minimum {w.minimum.point} has tied deepest "
-                f"minima (values {values[0]:.12g}, {values[1]:.12g})"
-            )
-
-    for a in range(len(wm.wells)):
-        for b in range(a + 1, len(wm.wells)):
-            ja = {id(s) for s in wm.wells[a].saddles}
-            jb = {id(s) for s in wm.wells[b].saddles}
-            if ja & jb:
-                violations.append(
-                    f"j(m) sets of minima {wm.wells[a].minimum.point} and "
-                    f"{wm.wells[b].minimum.point} overlap"
-                )
-
-    values = sorted(m.value for m in minima)
-    double_well = (len(minima) == 2
-                   and values[1] - values[0] <= VALUE_TIE_TOL)
-    return GenericityReport(
-        generic=not violations,
-        double_well_equal_depth=double_well,
-        violations=tuple(violations),
-    )

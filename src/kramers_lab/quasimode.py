@@ -31,8 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .discretize import Grid, OperatorMatrix
-from .labelling import (LabelledWell, WellMap, check_generic,
-                        flood_component, label_components)
+from .labelling import (LabelledWell, WellMap, flood_component,
+                        label_components)
 from .landscape import CriticalPoint, Landscape
 from .saddle import SaddleSpectralData
 
@@ -395,34 +395,3 @@ def interaction_matrix(quasimodes: Sequence[Quasimode]) -> InteractionResult:
             K[j, k] = float(np.real(op.inner(phis[k], Lphi)))
             G[j, k] = float(np.real(op.inner(phis[j], phis[k])))
     return InteractionResult(interaction=K, gram=G)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form Laplace predictions (oracles for the quadrature checks)
-
-def _D(cp: CriticalPoint) -> float:
-    return math.sqrt(abs(float(np.linalg.det(cp.hessian))))
-
-
-def predicted_norm_sq(well: LabelledWell, wm: WellMap, h: float) -> float:
-    """Laplace asymptotics of ||psi||^2: 4 (D_mbar/D_m) e^{-(V(m)-V(mbar))/h},
-    times D_m/(D_m + D_mbar) where equal-depth minima share m_h."""
-    mbar = wm.global_well.minimum
-    pred = (4.0 * _D(mbar) / _D(well.minimum)
-            * math.exp(-(well.minimum.value - mbar.value) / h))
-    if check_generic(wm).double_well_equal_depth:
-        pred *= _D(well.minimum) / (_D(well.minimum) + _D(mbar))
-    return pred
-
-
-def predicted_dirichlet(well: LabelledWell,
-                        data: Mapping[int, SaddleSpectralData],
-                        h: float) -> float:
-    """<L phi, phi> asymptotics: the Eyring-Kramers rate
-    sum_s |mu(s)|/(2 pi) (D_m/D_s) e^{-S(m)/h}."""
-    phi_form = 0.0
-    for sad in well.saddles:
-        mu = data[id(sad)].abs_mu
-        phi_form += (mu / (2.0 * math.pi)) * _D(well.minimum) / _D(sad) \
-            * math.exp(-(sad.value - well.minimum.value) / h)
-    return phi_form

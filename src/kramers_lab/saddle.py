@@ -11,7 +11,8 @@ The sharp prefactor of the small eigenvalue attached to a labelled well m is
 
 with the first factor replaced by the sum of the two minima's determinant
 roots in the equal-depth double-well case, and the predicted eigenvalue is
-zeta(m) * exp(-S(m)/h).
+zeta(m) * exp(-S(m)/h).  ``predict_spectrum`` keeps it, with the
+quasimode's Laplace asymptotics, in one h-independent record per well.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .labelling import LabelledWell, WellMap, check_generic
+from .labelling import VALUE_TIE_TOL, LabelledWell, WellMap
 from .landscape import CriticalPoint, Landscape
 
 _REAL_TOL = 1e-10
@@ -202,62 +203,84 @@ def transverse_map(land: Landscape, wm: WellMap) -> dict[int, SaddleSpectralData
 # ---------------------------------------------------------------------------
 # Eyring-Kramers predictions
 
+def _D(cp: CriticalPoint) -> float:
+    return math.sqrt(abs(float(np.linalg.det(cp.hessian))))
+
+
 @dataclass(frozen=True)
-class EkPrediction:
-    """Sharp small-eigenvalue prediction for one labelled minimum."""
+class WellPrediction:
+    """The sharp asymptotics of one labelled well m, at every h.
 
-    minimum: CriticalPoint
-    S: float                   # barrier; +inf for the global minimum
-    zeta: float                # prefactor; 0 for the global minimum
-    lam: float                 # zeta * exp(-S/h)
-    h: float
+    ``S`` is the barrier and ``zeta`` the prefactor (+inf and 0 for the
+    global well).  ``share`` is the part of m_h near the common depth that
+    m holds: 1.0, or D_m/(D_m + D_mbar) for the equal-depth double well
+    (D = sqrt|det Hess V|, mbar the global minimum).
+    """
 
+    well: LabelledWell
+    mbar: CriticalPoint
+    saddles: tuple[SaddleSpectralData, ...]    # one per saddle of j(m)
+    S: float
+    zeta: float
+    share: float
 
-def prefactor(
-    well: LabelledWell,
-    wm: WellMap,
-    data: Mapping[int, SaddleSpectralData],
-) -> float:
-    """zeta(m) for a non-global labelled well."""
-    if well.is_global:
-        raise ValueError("the global minimum has no escape prefactor")
-    report = check_generic(wm)
-    if not report.generic and not report.double_well_equal_depth:
-        raise UnsupportedCaseError(
-            "sharp prefactor requires a generic well map or the equal-depth "
-            f"double well; found: {'; '.join(report.violations)}"
-        )
-    front = math.sqrt(float(np.linalg.det(well.minimum.hessian)))
-    if report.double_well_equal_depth:
-        other = wm.global_well.minimum
-        front += math.sqrt(float(np.linalg.det(other.hessian)))
-    total = 0.0
-    for sad in well.saddles:
-        ds = data[id(sad)]
-        total += ds.abs_mu / math.sqrt(abs(float(np.linalg.det(sad.hessian))))
-    return front / (2.0 * math.pi) * total
+    def lam(self, h: float) -> float:
+        """zeta e^{-S/h}: exactly 0 for the global well."""
+        if not 0.0 < h <= 1.0:
+            raise ValueError(f"h must lie in (0, 1], got {h}")
+        return self.zeta * math.exp(-self.S / h)
+
+    def norm_sq(self, h: float) -> float:
+        """Laplace asymptotics of ||psi||^2 for a non-global well:
+        4 (D_mbar/D_m) e^{-(V(m)-V(mbar))/h}, times ``share``."""
+        m, mbar = self.well.minimum, self.mbar
+        return (4.0 * _D(mbar) / _D(m)
+                * math.exp(-(m.value - mbar.value) / h)) * self.share
+
+    def dirichlet(self, h: float) -> float:
+        """<L phi, phi> asymptotics: the Eyring-Kramers rate
+        sum_s |mu(s)|/(2 pi) (D_m/D_s) e^{-(V(s)-V(m))/h}."""
+        m = self.well.minimum
+        form = 0.0
+        for ds in self.saddles:
+            form += (ds.abs_mu / (2.0 * math.pi)) * _D(m) / _D(ds.saddle) \
+                * math.exp(-(ds.saddle.value - m.value) / h)
+        return form
 
 
 def predict_spectrum(
     wm: WellMap,
     data: Mapping[int, SaddleSpectralData],
-    h: float,
-) -> list[EkPrediction]:
-    """One prediction per labelled minimum, in labelling (round) order.
+) -> list[WellPrediction]:
+    """One prediction per labelled well, in labelling (round) order.
 
-    ``data`` is the ``transverse_map`` of the well map.  The global minimum
-    gets the exact kernel eigenvalue 0; every other well m gets
-    zeta(m) * exp(-S(m)/h).
+    ``data`` is the ``transverse_map`` of the well map.  The well map must
+    meet the generic assumption (``WellMap.genericity``), or be the
+    equal-depth double well: exactly two minima at one value, which share
+    m_h and whose prefactor front factor is D_m + D_mbar.
     """
-    if not 0.0 < h <= 1.0:
-        raise ValueError(f"h must lie in (0, 1], got {h}")
-    out: list[EkPrediction] = []
+    values = sorted(w.minimum.value for w in wm.wells)
+    equal_depth = len(values) == 2 and values[1] - values[0] <= VALUE_TIE_TOL
+    report = wm.genericity
+    if not report.generic and not equal_depth:
+        raise UnsupportedCaseError(
+            "sharp prefactor requires a generic well map or the equal-depth "
+            f"double well; found: {'; '.join(report.violations)}"
+        )
+    mbar = wm.global_well.minimum
+    out: list[WellPrediction] = []
     for w in sorted(wm.wells, key=lambda w: w.round_index):
-        if w.is_global:
-            out.append(EkPrediction(minimum=w.minimum, S=math.inf,
-                                    zeta=0.0, lam=0.0, h=h))
-        else:
-            z = prefactor(w, wm, data)
-            out.append(EkPrediction(minimum=w.minimum, S=w.barrier, zeta=z,
-                                    lam=z * math.exp(-w.barrier / h), h=h))
+        saddles = tuple(data[id(sad)] for sad in w.saddles)
+        zeta, share = 0.0, 1.0
+        if not w.is_global:
+            front = _D(w.minimum)
+            if equal_depth:
+                front += _D(mbar)
+                share = _D(w.minimum) / front
+            total = 0.0
+            for ds in saddles:
+                total += ds.abs_mu / _D(ds.saddle)
+            zeta = front / (2.0 * math.pi) * total
+        out.append(WellPrediction(well=w, mbar=mbar, saddles=saddles,
+                                  S=w.barrier, zeta=zeta, share=share))
     return out

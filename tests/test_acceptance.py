@@ -54,10 +54,8 @@ from kramers_lab.quasimode import (
     constant_quasimode,
     dirichlet_and_residuals,
     interaction_matrix,
-    predicted_dirichlet,
-    predicted_norm_sq,
 )
-from kramers_lab.saddle import predict_spectrum, transverse_data
+from kramers_lab.saddle import transverse_data
 
 
 def _verdict(num, name, breaches, detail):
@@ -157,9 +155,8 @@ def test_03_rate_asymptotics_tilted(tilted_c0, tilted_c1):
         for h in hs:
             lam2 = float(np.sort(small_spectrum(bu.operator(h, 192), 4)
                                  .eigenvalues.real)[1])
-            ek = next(p.lam for p in
-                      predict_spectrum(bu.wm, bu.data, h)
-                      if p.lam > 0.0)
+            ek = next(p.lam(h) for p in bu.predictions
+                      if p.lam(h) > 0.0)
             lam[tag, h] = lam2
             devs[tag, h] = abs(lam2 / ek - 1.0)
             if devs[tag, h] > 3.0 * math.sqrt(h):
@@ -243,18 +240,19 @@ def tilted_geom(tilted_c0):
 def test_05_quasimode_forms(tilted_geom, tilted_c0, triple):
     """Norms, Dirichlet forms, residual scaling, interaction and Gram."""
     well = tilted_c0.shallow_well
+    pred = tilted_c0.predictions[1]     # the shallow well's record
     hs = (0.05, 0.1, 0.2)
     breaches = []
     norm_dev = form_dev = 0.0
     rr = []
     for h in hs:
         qm = build_quasimode(well, tilted_geom, tilted_c0.operator(h, 192))
-        nr = qm.norm ** 2 / predicted_norm_sq(well, tilted_c0.wm, h)
+        nr = qm.norm ** 2 / pred.norm_sq(h)
         norm_dev = max(norm_dev, abs(nr - 1.0))
         if not 1.0 / (1.0 + 10.0 * h) <= nr <= 1.0 + 10.0 * h:
             breaches.append(f"h={h}: norm ratio {nr:.3f} outside (1+10h)")
         forms = dirichlet_and_residuals(qm)
-        phi_pred = predicted_dirichlet(well, tilted_c0.data, h)
+        phi_pred = pred.dirichlet(h)
         dr = forms.dirichlet_phi / phi_pred
         form_dev = max(form_dev, abs(dr - 1.0))
         if not 1.0 / (1.0 + 10.0 * h) <= dr <= 1.0 + 10.0 * h:

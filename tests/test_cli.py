@@ -1,6 +1,7 @@
 """CLI pipeline tests: config validation, stage artifacts, determinism."""
 
 import csv
+import functools
 import gc
 import json
 import multiprocessing
@@ -18,8 +19,8 @@ import pytest
 from kramers_lab import analysis, cli, forked, graded
 from kramers_lab.analysis import Analysis
 from kramers_lab.cli import ConfigError, main, parse_config
+from kramers_lab.labelling import WellMap
 from kramers_lab.landscape import make_preset, validate_stationarity
-from kramers_lab.saddle import predict_spectrum
 
 
 def _write_cfg(path: Path, **kwargs) -> Path:
@@ -188,10 +189,9 @@ def test_analyze_emits_the_labelled_catalog(tilted_run):
     assert by_x[0][4] == "inf" and float(by_x[0][6]) == 0.0
     # shallow well matches the library prediction exactly
     ana = Analysis(make_preset("tilted_double_well"))
-    pred = [p for p in predict_spectrum(ana.wm, ana.data, 0.2)
-            if p.S != np.inf][0]
+    pred = [p for p in ana.predictions if p.S != np.inf][0]
     assert float(by_x[1][5]) == pytest.approx(pred.zeta, rel=1e-10)
-    assert float(by_x[1][6]) == pytest.approx(pred.lam, rel=1e-10)
+    assert float(by_x[1][6]) == pytest.approx(pred.lam(0.2), rel=1e-10)
 
     wells = json.loads((tilted_run / "well_map.json").read_text())["wells"]
     assert len(wells) == 2
@@ -620,23 +620,58 @@ def test_stationarity_is_validated_once_per_landscape(tmp_path,
     assert seen[0] is not seen[1]
 
 
-def test_spectrum_stage_reads_the_analyze_predictions(tmp_path,
-                                                     monkeypatch):
-    cells = []
+def test_predictions_are_built_once_per_landscape(tmp_path, monkeypatch):
+    built, checked = [], []
+    predict = analysis.predict_spectrum
+    genericity = WellMap.genericity.func
 
-    def spy(wm, data, h):
-        cells.append(h)
-        return predict_spectrum(wm, data, h)
+    def spy(wm, data):
+        built.append(wm)
+        return predict(wm, data)
 
-    monkeypatch.setattr(cli, "predict_spectrum", spy)
+    def counted(wm):
+        checked.append(wm)
+        return genericity(wm)
+
+    monkeypatch.setattr(analysis, "predict_spectrum", spy)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(WellMap, "genericity")
+    monkeypatch.setattr(WellMap, "genericity", prop)
     cfg = _write_cfg(tmp_path,
                      landscape={"preset": "tilted_double_well"},
-                     c=[0.0, 1.0], h=[0.2], grid={"n": 96},
-                     stages=["analyze", "spectrum"],
+                     c=[0.0, 1.0], h=[0.2, 0.3], grid={"n": 96},
+                     stages=["analyze", "spectrum", "quasimode"],
                      out=str(tmp_path / "out"))
     assert main(["run", str(cfg)]) == 0
-    # one prediction per (c, h) cell
-    assert cells == [0.2, 0.2]
+    # one record set and one genericity report per landscape, read by the
+    # analyze, spectrum and quasimode stages at every h
+    assert len(built) == 2 and built[0] is not built[1]
+    assert [id(wm) for wm in checked] == [id(wm) for wm in built]
+
+
+@pytest.mark.parametrize("preset, generic, code", [
+    ("tilted_double_well", True, 0),
+    ("sym_double_well", False, 0),
+    (None, False, 1),
+])
+def test_manifest_reports_genericity(preset, generic, code, tmp_path):
+    # the tied triple well is refused, and its report still lands
+    landscape = {"preset": preset} if preset else {
+        "dimension": 2, "V": "0.06*x^2*(x^2-4)^2 + y^2", "box": 3.2}
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, landscape=landscape, h=[0.2],
+                     stages=["analyze"], out=str(out))
+    assert main(["run", str(cfg)]) == code
+    man = json.loads((out / "run_manifest.json").read_text())
+    (cell,) = man["diagnostics"]["analyze"]
+    assert cell["c"] == 0.0 and cell["generic"] is generic
+    if generic:
+        assert cell["violations"] == []
+    else:
+        assert any("tied deepest minima" in v for v in cell["violations"])
+    if code:
+        assert "requires a generic well map or the equal-depth double " \
+            "well; found: " in man["stages"][0]["message"]
 
 
 def test_failed_stage_skips_dependents(tmp_path):

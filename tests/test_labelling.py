@@ -14,13 +14,11 @@ from kramers_lab.landscape import Landscape, find_critical_points, make_preset
 from kramers_lab.labelling import (
     LabellingError,
     SublevelTopology,
-    check_generic,
     flood_component,
     label_components,
     label_minima,
     separating_saddles,
 )
-from kramers_lab.saddle import predict_spectrum
 
 
 def build(name, **kw):
@@ -94,12 +92,11 @@ def test_rotated_tilted_well_labels_like_the_unrotated_one():
         b=(zero, zero), nu=(zero, zero), halfwidth=2.0)
     ana = Analysis(rotated)
     assert len(ana.wm.wells) == 2
-    lam = max(p.lam for p in predict_spectrum(ana.wm, ana.data, 0.2))
+    lam = max(p.lam(0.2) for p in ana.predictions)
     plain = Analysis(make_preset("tilted_double_well"))
     # 0.0506099...
-    assert lam == pytest.approx(
-        max(p.lam for p in predict_spectrum(plain.wm, plain.data, 0.2)),
-        rel=1e-9)
+    assert lam == pytest.approx(max(p.lam(0.2) for p in plain.predictions),
+                                rel=1e-9)
 
 
 def test_quartet_has_one_non_separating_saddle():
@@ -136,7 +133,7 @@ def test_quartet_labelling_structure():
     j_all = {id(s) for w in wm.wells for s in w.saddles}
     non_sep = next(s for s in wm.separations if not s.separating)
     assert id(non_sep.saddle) not in j_all
-    assert check_generic(wm).generic
+    assert wm.genericity.generic
 
 
 def test_tilted_double_well_labels():
@@ -150,8 +147,8 @@ def test_tilted_double_well_labels():
     assert len(other.saddles) == 1
     assert other.hat_minimum is glob.minimum
     assert math.isinf(other.prev_sigma)
-    rep = check_generic(wm)
-    assert rep.generic and not rep.double_well_equal_depth
+    rep = wm.genericity
+    assert rep.generic and rep.violations == ()
 
 
 def test_triple_well_labels_and_rounds():
@@ -168,7 +165,7 @@ def test_triple_well_labels_and_rounds():
     assert rounds[3].prev_sigma == pytest.approx(rounds[2].sigma)
     assert rounds[2].hat_minimum is rounds[1].minimum
     assert rounds[3].hat_minimum is rounds[1].minimum
-    assert check_generic(wm).generic
+    assert wm.genericity.generic
 
 
 def test_equal_depth_double_well_flagged():
@@ -176,10 +173,12 @@ def test_equal_depth_double_well_flagged():
     wm = label_minima(cps, topo)
     # lexicographic tie-break picks the left minimum as global
     assert wm.global_well.minimum.point[0] == pytest.approx(-1.0, abs=1e-8)
-    rep = check_generic(wm)
+    rep = wm.genericity
     assert not rep.generic
-    assert rep.double_well_equal_depth
-    assert rep.violations
+    (violation,) = rep.violations
+    assert "tied deepest minima" in violation
+    # the report is computed once per well map
+    assert wm.genericity is rep
 
 
 def test_wellmap_invariants_and_masks():

@@ -25,8 +25,6 @@ from kramers_lab.quasimode import (
     dirichlet_and_residuals,
     interaction_matrix,
     plateau_bump,
-    predicted_dirichlet,
-    predicted_norm_sq,
     smoothstep,
 )
 
@@ -282,7 +280,7 @@ def test_norm_squared_matches_prediction(tilted_geom, tilted_c0):
     well = tilted_c0.shallow_well
     for h in (0.05, 0.1, 0.2):
         qm = build_quasimode(well, tilted_geom, tilted_c0.operator(h, N))
-        ratio = qm.norm**2 / predicted_norm_sq(well, tilted_c0.wm, h)
+        ratio = qm.norm**2 / tilted_c0.predictions[1].norm_sq(h)
         assert abs(ratio - 1.0) <= 0.5 * h
 
 
@@ -292,7 +290,7 @@ def test_dirichlet_form_matches_rate_prediction(tilted_geom, tilted_c0):
     for h in (0.05, 0.1, 0.2):
         qm = build_quasimode(well, tilted_geom, tilted_c0.operator(h, N))
         forms = dirichlet_and_residuals(qm)
-        phi_pred = predicted_dirichlet(well, tilted_c0.data, h)
+        phi_pred = tilted_c0.predictions[1].dirichlet(h)
         ratio = forms.dirichlet_phi / phi_pred
         assert 1.0 / (1.0 + 10.0 * h) <= ratio <= 1.0 + 10.0 * h
         ratios.append(ratio)
@@ -343,7 +341,7 @@ def test_nonreversible_dirichlet_uses_transverse_rate(tilted_geom_c1,
     for h in (0.1, 0.2):
         qm = build_quasimode(well, tilted_geom_c1, tilted_c1.operator(h, N))
         forms = dirichlet_and_residuals(qm)
-        phi_pred = predicted_dirichlet(well, tilted_c1.data, h)
+        phi_pred = tilted_c1.predictions[1].dirichlet(h)
         ratio = forms.dirichlet_phi / phi_pred
         assert 1.0 / (1.0 + 10.0 * h) <= ratio <= 1.0 + 10.0 * h
 
@@ -362,7 +360,7 @@ def test_equal_depth_norm_matches_prediction(sym_double):
     geom = build_cutoffs(well, sym_double.wm, sym_double.data,
                          sym_double.land, op.grid)
     qm = build_quasimode(well, geom, op)
-    ratio = qm.norm**2 / predicted_norm_sq(well, sym_double.wm, 0.05)
+    ratio = qm.norm**2 / sym_double.predictions[1].norm_sq(0.05)
     assert abs(ratio - 1.0) <= 1e-3
 
 

@@ -15,7 +15,6 @@ from kramers_lab.saddle import (
     SaddleError,
     UnsupportedCaseError,
     predict_spectrum,
-    prefactor,
     transverse_data,
 )
 
@@ -163,25 +162,34 @@ def test_premise_violations_raise():
 ])
 def test_equal_depth_double_well_prefactor(c, zeta_exact):
     ana = Analysis(make_preset("sym_double_well", c=c))
-    assert prefactor(ana.shallow_well, ana.wm, ana.data) == pytest.approx(
-        zeta_exact, rel=1e-9)
+    # two minima at one value: not generic, yet predicted
+    assert not ana.wm.genericity.generic
+    glob, pred = ana.predictions
+    assert pred.well is ana.shallow_well
+    assert pred.zeta == pytest.approx(zeta_exact, rel=1e-9)
+    # the two minima share m_h equally (up to the last bits of their
+    # Newton-refined Hessians), and the front factor is the sum of their
+    # determinant roots
+    assert pred.share == pytest.approx(0.5, abs=1e-13)
+    assert glob.zeta == 0.0 and glob.share == 1.0
 
 
 def test_tilted_prefactor_and_predictions(tilted_c0):
-    wm, data = tilted_c0.wm, tilted_c0.data
     well = tilted_c0.shallow_well
-    zeta = prefactor(well, wm, data)
-    assert zeta == pytest.approx(0.7847783, rel=1e-6)
-
-    preds = predict_spectrum(wm, data, h=0.1)
+    preds = predict_spectrum(tilted_c0.wm, tilted_c0.data)
     assert [p.S for p in preds] == sorted((p.S for p in preds), reverse=True)
-    assert preds[0].lam == 0.0 and math.isinf(preds[0].S)
-    lam = preds[1].lam
-    assert lam == pytest.approx(zeta * math.exp(-well.barrier / 0.1), rel=1e-14)
+    assert preds[0].lam(0.1) == 0.0 and math.isinf(preds[0].S)
+    assert preds[1].well is well and preds[1].share == 1.0
+    zeta = preds[1].zeta
+    assert zeta == pytest.approx(0.7847783, rel=1e-6)
+    lam = preds[1].lam(0.1)
+    assert lam == zeta * math.exp(-well.barrier / 0.1)
     assert lam == pytest.approx(0.0032638, rel=1e-4)
     # h -> 0 monotonicity
-    lam2 = predict_spectrum(wm, data, h=0.2)[1].lam
-    assert lam < lam2
+    assert lam < preds[1].lam(0.2)
+    for h in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match="h must lie in"):
+            preds[1].lam(h)
 
 
 def test_tilted_nonreversible_mu_ratio_and_orientation(tilted_c0, tilted_c1):
@@ -200,19 +208,25 @@ def test_prefactor_is_additive_over_boundary_saddles(tilted_c0):
     well = tilted_c0.shallow_well
     doubled = dataclasses.replace(well, saddles=well.saddles * 2,
                                   saddle_sides=well.saddle_sides * 2)
-    assert prefactor(doubled, wm, data) == pytest.approx(
-        2.0 * prefactor(well, wm, data), rel=1e-14)
+    wm2 = dataclasses.replace(wm, wells=tuple(
+        doubled if w is well else w for w in wm.wells))
+    assert predict_spectrum(wm2, data)[1].zeta == pytest.approx(
+        2.0 * tilted_c0.predictions[1].zeta, rel=1e-14)
 
 
 def test_triple_well_predictions_follow_rounds(triple):
-    preds = predict_spectrum(triple.wm, triple.data, h=0.15)
+    preds = predict_spectrum(triple.wm, triple.data)
     assert len(preds) == 3
+    assert [p.well.round_index for p in preds] == [1, 2, 3]
     assert math.isinf(preds[0].S)
     assert preds[1].S == pytest.approx(0.361456, abs=1e-5)
     assert preds[2].S == pytest.approx(0.286557, abs=1e-5)
-    assert all(p.lam > 0 for p in preds[1:])
+    assert all(p.lam(0.15) > 0 for p in preds[1:])
 
 
 def test_global_well_has_no_prefactor(tilted_c0):
-    with pytest.raises(ValueError):
-        prefactor(tilted_c0.wm.global_well, tilted_c0.wm, tilted_c0.data)
+    glob = tilted_c0.predictions[0]
+    assert glob.well is tilted_c0.wm.global_well
+    assert glob.zeta == 0.0 and math.isinf(glob.S)
+    assert glob.lam(0.1) == 0.0 and glob.lam(1.0) == 0.0
+    assert glob.saddles == ()
