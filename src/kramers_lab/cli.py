@@ -34,27 +34,31 @@ The worker is a copy-on-write fork of the process as it is before any
 landscape work and shares most of its pages with it; it holds about
 10 MB of its own on the 200-instance default (see README).  It stays
 alive while the spectrum stage fans out its small-spectrum solves and
-the sde stage its shards, both through ``forked.starmap``.  A run whose
+the sde stage the shards of all its cells (``sde.simulate``), both
+through ``forked.starmap``.  A run whose
 earlier stage fails stops the worker.  ``kramers-lab selftest`` runs
 ``graded.measure_instances`` in-process and summarizes the measurements
 with ``graded.selftest``; like ``run`` it refuses ``--instances`` below 1
 and a negative ``--seed`` with exit code 2.
 
-The sde stage gates the mean hitting time against the discrete mean
-first-passage time u(start) from ``sde.mean_first_passage``, within a
-factor 2; 1/lambda_2 stays a report column.
+The sde stage solves the spectra of all its cells at once, as the
+spectrum stage does, builds each cell's config and u(start), steps every
+cell in one ``sde.simulate``, then gates each cell in order: the mean
+hitting time against the discrete mean first-passage time u(start) from
+``sde.mean_first_passage``, within a factor 2; 1/lambda_2 stays a report
+column.
 
-Every run writes run_manifest.json (config, versions, stage outcomes,
-the analyze stage's genericity report per c: whether the well map meets
-the paper's generic assumption, and its violations; and per-cell
-diagnostics of the spectrum stage: cluster size, threshold, gap witness,
-kernel defect; and of the sde stage: dt, the guard, trial-steps);
-data files are CSV with a fixed number format, so identical config + seed
-reproduce byte-identical bodies.  Exit codes: 0 all stage assertions
-passed, 1 a stage failed (a refused landscape included: one the box
-cannot evaluate, or one whose saddle the labelling grid is too coarse to
-resolve), 2 config/usage error (an ``out`` the run cannot create as a
-directory included).
+Every run writes run_manifest.json (config, versions, stage outcomes
+with their wall times, the analyze stage's genericity report per c:
+whether the well map meets the paper's generic assumption, and its
+violations; and per-cell diagnostics of the spectrum stage: cluster
+size, threshold, gap witness, kernel defect; and of the sde stage: dt,
+the guard, trial-steps, shards); data files are CSV with a fixed number
+format, so identical config + seed reproduce byte-identical bodies.
+Exit codes: 0 all stage assertions passed, 1 a stage failed (a refused
+landscape included: one the box cannot evaluate, or one whose saddle the
+labelling grid is too coarse to resolve), 2 config/usage error (an
+``out`` the run cannot create as a directory included).
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ import csv
 import json
 import math
 import sys
+import time
 import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -87,7 +92,7 @@ from .quasimode import (
 )
 from .saddle import UnsupportedCaseError
 from .sde import (SdeError, hitting_time_stats, make_config,
-                  mean_first_passage)
+                  mean_first_passage, shard_counts, simulate)
 
 STAGES = ("analyze", "spectrum", "quasimode", "sde", "graded-selftest")
 _NEEDS_LANDSCAPE = ("analyze", "spectrum", "quasimode", "sde")
@@ -470,42 +475,52 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
 
 def _stage_sde(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
-    rows = []
-    cells = ctx.diagnostics["sde"] = []
+    diagnostics = ctx.diagnostics["sde"] = []
     for c in cfg.c:
-        ana = ctx.analysis(c)
-        if len(ana.wm.wells) == 1:
+        if len(ctx.analysis(c).wm.wells) == 1:
             raise StageFailure(
                 f"sde: the landscape has a single well at c={_fmt(c)}; a "
                 "hitting time needs a non-global start well")
+    solve_spectra([(ctx.analysis(c), h, cfg.grid_n)
+                   for c in cfg.c for h in cfg.h])
+    cells = []      # (h, c, lambda_2, config, u(start)) per (h, c)
+    for c in cfg.c:
+        ana = ctx.analysis(c)
         for h in cfg.h:
             lam2 = float(ana.spectrum(h, cfg.grid_n).eigenvalues[1].real)
             sim = make_config(ana.land, ana.wm, h,
                               start_well=ana.shallow_well,
                               radius=cfg.sde_radius, trials=cfg.sde_trials,
                               seed=cfg.seed)
-            # solved before the hitting run: the heap that run leaves
-            # behind would carry the LU factor past the process's peak
+            # solved before the hitting runs: the heap they leave behind
+            # would carry the LU factor past the process's peak
             mfpt = mean_first_passage(sim, ana.operator(h, cfg.grid_n))
-            st = hitting_time_stats(sim)
-            ratio = st.mean * lam2
-            rows.append([h, c, st.mean, st.stderr, 1.0 / lam2, ratio, mfpt,
-                         (st.mean - mfpt) / st.stderr])
-            cells.append({
-                "h": h, "c": c, "dt": sim.dt,
-                "guard_max_drift": sim.drift.peak,
-                "guard_level": sim.drift.level,
-                "trial_steps": int(np.rint(st.taus / sim.dt).sum()),
-                "escapes": st.escapes,
-                "predicted_trial_steps": sim.trials * mfpt / sim.dt,
-            })
-            factor = st.mean / mfpt
-            if not 0.5 <= factor <= 2.0:
-                raise StageFailure(
-                    "sde: mean hitting time is off the discrete mean "
-                    f"first-passage time u(start) = {mfpt:.4g} by factor "
-                    f"{factor:.2f} (allowed [0.5, 2]) at h={_fmt(h)}, "
-                    f"c={_fmt(c)}")
+            cells.append((h, c, lam2, sim, mfpt))
+    sims = [sim for _, _, _, sim, _ in cells]
+    runs = simulate(sims)
+    rows = []
+    for (h, c, lam2, sim, mfpt), run, shards in zip(cells, runs,
+                                                    shard_counts(sims)):
+        st = hitting_time_stats(sim, run)
+        ratio = st.mean * lam2
+        rows.append([h, c, st.mean, st.stderr, 1.0 / lam2, ratio, mfpt,
+                     (st.mean - mfpt) / st.stderr])
+        diagnostics.append({
+            "h": h, "c": c, "dt": sim.dt,
+            "guard_max_drift": sim.guard.peak,
+            "guard_level": sim.guard.level,
+            "trial_steps": int(np.rint(st.taus / sim.dt).sum()),
+            "escapes": st.escapes,
+            "predicted_trial_steps": sim.trials * mfpt / sim.dt,
+            "shards": shards,
+        })
+        factor = st.mean / mfpt
+        if not 0.5 <= factor <= 2.0:
+            raise StageFailure(
+                "sde: mean hitting time is off the discrete mean "
+                f"first-passage time u(start) = {mfpt:.4g} by factor "
+                f"{factor:.2f} (allowed [0.5, 2]) at h={_fmt(h)}, "
+                f"c={_fmt(c)}")
     _write_csv(cfg.out / "sde_report.csv",
                ["h", "c", "mean_tau", "stderr", "inv_lambda2", "ratio",
                 "mfpt_pred", "z"],
@@ -577,12 +592,13 @@ def run(cfg: RunConfig) -> int:
             if failed:
                 stage_records.append({"stage": name, "status": "skipped",
                                       "message": "earlier stage failed",
-                                      "artifacts": []})
+                                      "artifacts": [], "wall_s": 0.0})
                 continue
+            start = time.perf_counter()
             try:
                 artifacts = _STAGE_FUNCS[name](ctx)
-                stage_records.append({"stage": name, "status": "passed",
-                                      "message": "", "artifacts": artifacts})
+                record = {"stage": name, "status": "passed", "message": "",
+                          "artifacts": artifacts}
             except (StageFailure, DiscretizationError, SdeError,
                     LandscapeError, LabellingError,
                     UnsupportedCaseError) as e:
@@ -592,16 +608,18 @@ def run(cfg: RunConfig) -> int:
                 msg = str(e) if isinstance(e, StageFailure) \
                     else f"{name}: {e}"
                 print(f"FAILED {msg}", file=sys.stderr)
-                stage_records.append({"stage": name, "status": "failed",
-                                      "message": msg, "artifacts": []})
+                record = {"stage": name, "status": "failed", "message": msg,
+                          "artifacts": []}
                 failed = True
             except Exception as e:
                 msg = f"{name}: {type(e).__name__}: {e}"
                 print(f"FAILED {msg}", file=sys.stderr)
-                stage_records.append({"stage": name, "status": "failed",
-                                      "message": msg, "artifacts": [],
-                                      "traceback": traceback.format_exc()})
+                record = {"stage": name, "status": "failed", "message": msg,
+                          "artifacts": [],
+                          "traceback": traceback.format_exc()}
                 failed = True
+            record["wall_s"] = time.perf_counter() - start
+            stage_records.append(record)
     finally:
         if ctx.graded is not None:
             ctx.graded.close()      # stops it when its stage was skipped

@@ -19,24 +19,30 @@ draws per step therefore consumes the *same* Brownian path, and the
 dt-halving audit (halved_dt) measures genuine discretization bias
 instead of resampling noise.
 
-The drift is evaluated by bilinear interpolation from a dense
-precomputed table (the expression trees are far too slow to walk once
-per time step), built once per config and kept by the configs derived
-from it with dataclasses.replace.  Paths are stepped in one
-vectorized batch while many trials are still running and finished off
-one by one in a scalar loop, which is what makes the exponential tail of
-the hitting-time distribution affordable.
+The drift is evaluated by bilinear interpolation from a dense table of
+dt * U_h (the expression trees are far too slow to walk once per time
+step).  A SimulationConfig keeps only the guard's max|U_h|, computed a
+block of table rows at a time and kept by the configs derived from it
+with dataclasses.replace; each shard builds its own table, so the main
+process holds none.  Paths are stepped in one vectorized batch while
+many trials are still running and finished off one by one in a scalar
+loop, which is what makes the exponential tail of the hitting-time
+distribution affordable.  The batch stores the positions of a block of
+up to 64 steps and tests them against the target in one pass; it
+reflects at the walls step by step only when some position of the block
+left the box, by stepping the block again.
 
-The trials are split into interleaved shards (trial i in shard i mod W),
-one per usable CPU and at most one per trial, each with its own batch
-and tail, run through ``forked.starmap``.  A shard is handed the
-SimulationConfig itself (a forked shard inherits it, drift table
-included) and derives its step constants from it.  A shard switches to
-the scalar tail at ceil(24 / W) trials in flight, so the tail work summed
-over shards matches a single batch's.  Since every trial has its own
-stream and both phases share one arithmetic, the results are
-bit-identical for any W.  A trial that has not hit by max_time is
-unfinished, whatever the number of steps a shard draws at a time.
+``simulate`` steps the trials of every config in one ``forked.starmap``.
+With W usable CPUs and C configs, a config runs in max(1, min(W // C,
+trials)) interleaved shards (trial i in shard i mod its count): configs
+side by side first, and a config split only when CPUs are left over.  A
+shard is handed the SimulationConfig itself and derives its step
+constants from it.  It switches to the scalar tail at ceil(24 / shards)
+trials in flight, so the tail work summed over a config's shards matches
+a single batch's.  Since every trial has its own stream and both phases
+share one arithmetic, the results are bit-identical for any W.  A trial
+that has not hit by max_time is unfinished, whatever the number of steps
+a shard draws at a time.
 """
 
 from __future__ import annotations
@@ -62,38 +68,53 @@ _TABLE_ROWS = 32
 _TAIL_SWITCH = 24
 # steps drawn and stepped at a time: a shard checks max_time between chunks
 _CHUNK = 512
+# steps the batch takes between two target tests
+_BLOCK = 64
+# trials whose draws are summed together
+_DRAW_ROWS = 64
 # the dt guard reads max|U_h| over {V <= sigma + _GUARD_MARGIN}, the region
 # the paths sample; the box corners above it are where |U_h| peaks
 _GUARD_MARGIN = 1.0
 
 
-class _DriftTable(NamedTuple):
-    """U_h at the table nodes and the guard's peak, with the land, h and
-    level they were built for."""
+def _drift_blocks(land: Landscape, h: float):
+    """(points, U_h at them) over the table nodes, _TABLE_ROWS x-rows at a
+    time: the expression temporaries for all nodes at once would set the
+    process's peak memory.  Node (i, j) is point (axis[i], axis[j])."""
+    L = land.halfwidth
+    axis = np.linspace(-L, L, _TABLE_N)
+    for i in range(0, _TABLE_N, _TABLE_ROWS):
+        xx, yy = np.meshgrid(axis[i:i + _TABLE_ROWS], axis, indexing="ij")
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        yield pts, land.grad_V_at(pts) + land.b_h_at(pts, h)
+
+
+def _drift_table(land: Landscape, h: float, dt: float) -> np.ndarray:
+    """dt * U_h at the table nodes as (x/y, node), node i * _TABLE_N + j."""
+    table = np.empty((2, _TABLE_N * _TABLE_N))
+    at = 0
+    for _, U in _drift_blocks(land, h):
+        np.multiply(U.T, dt, out=table[:, at:at + len(U)])
+        at += len(U)
+    return table
+
+
+class _Guard(NamedTuple):
+    """The guard's max|U_h| over the table nodes with V <= level, with the
+    land, h and level it was computed for."""
 
     land: Landscape
     h: float
     level: float
-    axis: np.ndarray
-    U: np.ndarray           # (x node, y node, x/y)
-    peak: float             # max |U_h| over the nodes with V <= level
+    peak: float
 
 
-def _drift_table(land: Landscape, h: float, level: float) -> _DriftTable:
-    L = land.halfwidth
-    axis = np.linspace(-L, L, _TABLE_N)
-    U = np.empty((_TABLE_N, _TABLE_N, 2))
+def _guard_peak(land: Landscape, h: float, level: float) -> float:
     peak = 0.0
-    # a block of rows at a time: the expression temporaries for all table
-    # nodes at once would set the process's peak memory
-    for i in range(0, _TABLE_N, _TABLE_ROWS):
-        xx, yy = np.meshgrid(axis[i:i + _TABLE_ROWS], axis, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        block = land.grad_V_at(pts) + land.b_h_at(pts, h)
-        U[i:i + _TABLE_ROWS] = block.reshape(-1, _TABLE_N, 2)
-        speed = np.sqrt((block**2).sum(axis=1))[land.V_at(pts) <= level]
+    for pts, U in _drift_blocks(land, h):
+        speed = np.sqrt((U**2).sum(axis=1))[land.V_at(pts) <= level]
         peak = max(peak, float(speed.max(initial=0.0)))
-    return _DriftTable(land, h, level, axis, U, peak)
+    return peak
 
 
 @dataclass(frozen=True)
@@ -101,12 +122,12 @@ class SimulationConfig:
     """Euler-Maruyama run description, checked on construction.
 
     ``dt`` defaults to the guard min(h, 1) / (10 max|U_h|), with max|U_h|
-    read off the drift table over the nodes with V <= sigma + 1, sigma
-    being the start well's saddle height; a dt outside (0, guard] is
-    refused.  Each step sums ``substeps`` standard draws.  ``drift`` is
-    the table, built here; a config derived with dataclasses.replace
-    keeps its source's while land, h and sigma are unchanged.
-    make_config adds the checks that need the well map.
+    taken over the drift table's nodes with V <= sigma + 1, sigma being
+    the start well's saddle height; a dt outside (0, guard] is refused.
+    Each step sums ``substeps`` standard draws.  ``guard`` holds that
+    max, computed here; a config derived with dataclasses.replace keeps
+    its source's while land, h and sigma are unchanged.  make_config adds
+    the checks that need the well map.
     """
 
     land: Landscape
@@ -120,8 +141,7 @@ class SimulationConfig:
     dt: float | None = None
     max_time: float = 10_000.0
     substeps: int = 2
-    drift: _DriftTable | None = field(default=None, repr=False,
-                                      compare=False)
+    guard: _Guard | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.h <= 1.0:
@@ -135,12 +155,13 @@ class SimulationConfig:
             raise SdeError("substeps must be an integer of at least 1, got "
                            f"{self.substeps!r}")
         level = self.sigma + _GUARD_MARGIN
-        d = self.drift
-        if d is None or d.land is not self.land or (d.h, d.level) != (
+        g = self.guard
+        if g is None or g.land is not self.land or (g.h, g.level) != (
                 self.h, level):
-            d = _drift_table(self.land, self.h, level)
-            object.__setattr__(self, "drift", d)
-        guard = min(self.h, 1.0) / (10.0 * d.peak)
+            g = _Guard(self.land, self.h, level,
+                       _guard_peak(self.land, self.h, level))
+            object.__setattr__(self, "guard", g)
+        guard = min(self.h, 1.0) / (10.0 * g.peak)
         dt = guard if self.dt is None else float(self.dt)
         if not 0.0 < dt <= guard:
             raise SdeError(
@@ -247,34 +268,53 @@ class HittingStats:
     taus: np.ndarray = field(repr=False)
 
 
-def hitting_time_stats(cfg: SimulationConfig) -> HittingStats:
-    """First hitting times of the target ball over all trials.
+def shard_counts(cfgs) -> list[int]:
+    """The shards each of ``cfgs`` runs in when simulate steps them
+    together: the usable CPUs split evenly between the configs, at least
+    one and at most one per trial."""
+    cpus = forked.usable_cpus()
+    return [max(1, min(cpus // len(cfgs), cfg.trials)) for cfg in cfgs]
 
-    Trial i goes to shard i mod W, where W is the number of usable CPUs
-    capped at cfg.trials; the shards run through forked.starmap.  A shard
-    switches to the scalar tail once at most ceil(_TAIL_SWITCH / W) of
-    its trials are still in flight, so the tail work summed over shards
-    stays where one shard would put it.  Every trial draws from its own
-    stream, so taus and escapes do not depend on W.  A trial whose tau
-    is not <= cfg.max_time is unfinished; SdeError reports how many
-    there are over all shards.
+
+def simulate(cfgs) -> list[tuple[np.ndarray, int]]:
+    """(taus, escapes) of every trial of each config, in input order.
+
+    Config k runs in shard_counts(cfgs)[k] shards, trial i in shard i mod
+    that count, and the shards of all configs go through one
+    forked.starmap.  A shard switches to the scalar tail once at most
+    ceil(_TAIL_SWITCH / shards) of its trials are still in flight, so the
+    tail work summed over a config's shards stays where one shard would
+    put it.  Every trial draws from its own stream, so taus and escapes do
+    not depend on the shard counts.  A config that starts inside its
+    target takes no step: its taus are zero.
     """
-    if float(((cfg.start - cfg.target_center) ** 2).sum()) \
-            <= cfg.target_radius**2:
-        return HittingStats(mean=0.0, stderr=0.0, trials=cfg.trials,
-                            escapes=0, taus=np.zeros(cfg.trials))
+    cfgs = list(cfgs)
+    jobs = []       # (config index, trials, switch)
+    for k, (cfg, shards) in enumerate(zip(cfgs, shard_counts(cfgs))):
+        if float(((cfg.start - cfg.target_center) ** 2).sum()) \
+                > cfg.target_radius**2:
+            switch = -(-_TAIL_SWITCH // shards)
+            jobs += [(k, range(w, cfg.trials, shards), switch)
+                     for w in range(shards)]
+    results = forked.starmap(_run_shard, ((cfgs[k], trials, switch)
+                                          for k, trials, switch in jobs))
+    taus = [np.zeros(cfg.trials) for cfg in cfgs]
+    escapes = [0] * len(cfgs)
+    for (k, trials, _), (shard_taus, shard_escapes) in zip(jobs, results):
+        taus[k][trials.start::trials.step] = shard_taus
+        escapes[k] += shard_escapes
+    return list(zip(taus, escapes))
 
-    workers = min(forked.usable_cpus(), cfg.trials)
-    shards = [range(w, cfg.trials, workers) for w in range(workers)]
-    switch = -(-_TAIL_SWITCH // workers)
-    results = forked.starmap(_run_shard,
-                             ((cfg, shard, switch) for shard in shards))
 
-    taus = np.empty(cfg.trials)
-    escapes = 0
-    for shard, (shard_taus, shard_escapes) in zip(shards, results):
-        taus[shard.start::shard.step] = shard_taus
-        escapes += shard_escapes
+def hitting_time_stats(cfg: SimulationConfig,
+                       run: tuple[np.ndarray, int]) -> HittingStats:
+    """Mean and standard error of the hitting times of ``run``, cfg's
+    (taus, escapes) from simulate.
+
+    A trial whose tau is not <= cfg.max_time is unfinished; SdeError
+    reports how many there are.
+    """
+    taus, escapes = run
     unfinished = int(np.count_nonzero(~(taus <= cfg.max_time)))
     if unfinished:
         raise SdeError(
@@ -287,16 +327,21 @@ def hitting_time_stats(cfg: SimulationConfig) -> HittingStats:
                         escapes=escapes, taus=taus)
 
 
-def _draw(g: np.random.Generator, draws: np.ndarray, out: np.ndarray) -> None:
-    """Fill out (chunk, 2) with the next chunk of g's per-step draw sums.
+def _sum_draws(draws: np.ndarray, out: np.ndarray) -> None:
+    """out = draws (..., step, draw, x/y) summed over the draw index.
 
     Summed one draw index at a time, which is the order np.sum takes over
     this axis, at a fraction of its cost for two or three terms.
     """
+    np.copyto(out, draws[..., 0, :])
+    for s in range(1, draws.shape[-2]):
+        out += draws[..., s, :]
+
+
+def _draw(g: np.random.Generator, draws: np.ndarray, out: np.ndarray) -> None:
+    """Fill out (chunk, 2) with the next chunk of g's per-step draw sums."""
     g.standard_normal(out=draws)
-    np.copyto(out, draws[:, 0])
-    for s in range(1, draws.shape[1]):
-        out += draws[:, s]
+    _sum_draws(draws, out)
 
 
 def _run_shard(cfg: SimulationConfig, trials: range,
@@ -304,35 +349,36 @@ def _run_shard(cfg: SimulationConfig, trials: range,
     """Step the given trials of cfg to the target: (taus, escapes).
 
     Everything the walk needs is read off cfg: dt, h, substeps, seed,
-    start, target, box, max_time and the drift table, which is scaled by
-    dt here.  Steps are drawn _CHUNK at a time, and stepping stops at the
-    first chunk boundary past cfg.max_time; a trial still in flight there
+    start, target, box and max_time; the drift table is built here.
+    Steps are drawn _CHUNK at a time, and stepping stops at the first
+    chunk boundary past cfg.max_time; a trial still in flight there
     keeps tau = nan, and one that hit past max_time keeps its tau, which
     hitting_time_stats counts as unfinished too.  Escapes count the wall
     reflections of paths still in flight.
     """
-    axis = cfg.drift.axis
-    n = len(axis)
-    # dt * U_h as (x/y, node), written straight into its final layout
-    table = np.empty((2, n * n))
-    np.multiply(cfg.drift.U.reshape(n * n, 2).T, cfg.dt, out=table)
+    n = _TABLE_N
+    table = _drift_table(cfg.land, cfg.h, cfg.dt)
     # Python floats, not numpy scalars: the scalar tail does all its
     # arithmetic with them, and numpy scalar math is slower per operation
-    a0 = float(axis[0])
-    inv = float((n - 1) / (axis[-1] - axis[0]))
     L = float(cfg.land.halfwidth)
+    a0 = -L
+    inv = (n - 1) / (2.0 * L)
     r2 = float(cfg.target_radius**2)
     dt = float(cfg.dt)
     scale = math.sqrt(2.0 * cfg.h * cfg.dt / cfg.substeps)
     max_steps = int(cfg.max_time / cfg.dt)
     chunk = _CHUNK
+    block = min(_BLOCK, chunk)
     gens = [np.random.default_rng([cfg.seed, i]) for i in trials]
     taus = np.full(len(gens), np.nan)
     active = np.arange(len(gens))
     X = np.tile(cfg.start.astype(float)[:, None], (1, len(gens)))
-    draws = np.empty((chunk, cfg.substeps, 2))
-    # (ix, iy, 1) -> flat indices of the corners u00, u10, u01, u11
-    corners = np.array([[n, 1, 0], [n, 1, n], [n, 1, 1], [n, 1, n + 1]])
+    draws = np.empty((_DRAW_ROWS, chunk, cfg.substeps, 2))
+    # (ix, iy, 1) -> flat indices of the corners u00, u10, u01, u11, as
+    # floats: the products and sums are whole numbers far below 2^53, so
+    # they are exact, and a float matmul is a BLAS call
+    corners = np.array([[n, 1, 0], [n, 1, n], [n, 1, 1], [n, 1, n + 1]],
+                       dtype=float)
     centre = cfg.target_center.astype(float)[:, None]
     escapes = 0
     step = 0
@@ -346,19 +392,23 @@ def _run_shard(cfg: SimulationConfig, trials: range,
         if step > max_steps:
             return taus, escapes
         rows = active.size
-        noise = np.empty((rows, chunk, 2))
-        for j, i in enumerate(active):
-            _draw(gens[i], draws, noise[j])
+        # (step, x/y, row): each step reads one contiguous slab
+        noise = np.empty((chunk, 2, rows))
+        for j in range(0, rows, _DRAW_ROWS):
+            some = active[j:j + _DRAW_ROWS]
+            for d, i in zip(draws, some):
+                gens[i].standard_normal(out=d)
+            _sum_draws(draws[:len(some)],
+                       noise[:, :, j:j + _DRAW_ROWS].transpose(2, 0, 1))
         noise *= scale
-        noise_k = noise.transpose(1, 2, 0)
-        P = X[:, active]
+        P0 = X[:, active]           # the positions before each block
+        Q = np.empty((block, 2, rows))  # the positions after its steps
         alive = np.ones(rows, dtype=bool)
-        reach = np.full(rows, r2)   # -1 once a row has hit: no second hit
         f = np.empty((2, rows))
-        f_all, (f0, f1) = f.reshape(-1), f
+        f_all = f.reshape(-1)
         t = np.empty((2, rows))
         tx, ty = t
-        idx = np.ones((3, rows), dtype=np.intp)
+        idx = np.ones((3, rows))
         cell = idx[:2]
         flat_idx = np.empty((4, rows), dtype=np.intp)
         u = np.empty((2, 4, rows))
@@ -366,56 +416,79 @@ def _run_shard(cfg: SimulationConfig, trials: range,
         ab = np.empty((2, 2, rows))
         ua, ub = ab[:, 0], ab[:, 1]
         drift = np.empty((2, rows))
-        d2 = np.empty(rows)
-        hit = np.empty(rows, dtype=bool)
-        for k in range(chunk):
-            step += 1
-            np.subtract(P, a0, out=f)
-            f *= inv
-            np.copyto(cell, f, casting="unsafe")   # truncates, as int() does
-            np.minimum(cell, n - 2, out=cell)
-            np.subtract(f, cell, out=t)
-            # x/y by corner by row in one gather (the indices are in range;
-            # mode="clip" only spares take a buffered copy), then the
-            # bilinear weights: ty for (ua, ub), then tx between them
-            np.matmul(corners, idx, out=flat_idx)
-            table.take(flat_idx, axis=1, out=u, mode="clip")
-            np.subtract(hi, lo, out=ab)
-            ab *= ty
-            ab += lo
-            np.subtract(ub, ua, out=drift)
-            drift *= tx
-            drift += ua
-            np.subtract(noise_k[k], drift, out=drift)
-            P += drift
-            np.abs(P, out=f)
-            # argmax finds the largest entry and the first True below for a
-            # fraction of the cost of max() and any()
-            if f_all[f_all.argmax()] > L:
-                out = f > L
-                # rows that already hit keep stepping to the chunk's end;
-                # only reflections of paths still in flight count
-                escapes += int((out & alive).sum())
-                P = np.where(out, np.copysign(2.0 * L, P) - P, P)
-            np.subtract(P, centre, out=f)
-            f *= f
-            np.add(f0, f1, out=d2)
-            np.less_equal(d2, reach, out=hit)
-            if hit[hit.argmax()]:
-                taus[active[hit]] = step * dt
-                alive &= ~hit
-                reach[hit] = -1.0
-                if not alive.any():
+        for k0 in range(0, chunk, block):
+            kb = min(block, chunk - k0)
+            # The block is stepped without the walls first.  Only if some
+            # position left the box is it stepped again from P0,
+            # reflecting each step, which is what a walk that reflected
+            # all along would have done.
+            for walls in (False, True):
+                P, reflections = P0, []
+                for k in range(kb):
+                    np.subtract(P, a0, out=f)
+                    f *= inv
+                    np.trunc(f, out=cell)   # as int() does
+                    np.minimum(cell, n - 2, out=cell)
+                    np.subtract(f, cell, out=t)
+                    # x/y by corner by row in one gather (mode="clip"
+                    # spares take a buffered copy, and keeps the indices
+                    # of the wall-free pass's positions beyond the box in
+                    # the table), then the bilinear weights: ty for
+                    # (ua, ub), then tx between them
+                    np.matmul(corners, idx, out=flat_idx, casting="unsafe")
+                    table.take(flat_idx, axis=1, out=u, mode="clip")
+                    np.subtract(hi, lo, out=ab)
+                    ab *= ty
+                    ab += lo
+                    np.subtract(ub, ua, out=drift)
+                    drift *= tx
+                    drift += ua
+                    np.subtract(noise[k0 + k], drift, out=drift)
+                    P = np.add(P, drift, out=Q[k])
+                    if walls:
+                        np.abs(P, out=f)
+                        # argmax finds the largest entry for a fraction
+                        # of the cost of max()
+                        if f_all[f_all.argmax()] > L:
+                            out = f > L
+                            reflections.append((k, out))
+                            np.copyto(P, np.copysign(2.0 * L, P) - P,
+                                      where=out)
+                if walls or max(Q[:kb].max(), -Q[:kb].min()) <= L:
                     break
-        X[:, active] = P
+            # the target test of the whole block: each row's first step
+            # with d2 <= r2, of the rows that had not hit before it
+            D = Q[:kb] - centre
+            D *= D
+            hit = D[:, 0] + D[:, 1] <= r2
+            hit &= alive
+            first = hit.argmax(axis=0)
+            got = hit.any(axis=0)
+            if reflections:
+                # rows that already hit keep stepping to the chunk's end;
+                # a reflection counts while its path is still in flight:
+                # at its first hit's step or before it
+                last = np.where(got, first, np.where(alive, kb, -1))
+                for k, out in reflections:
+                    escapes += int((out & (last >= k)).sum())
+            if got.any():
+                taus[active[got]] = (step + 1 + first[got]) * dt
+                alive &= ~got
+            step += kb
+            np.copyto(P0, Q[kb - 1])
+            if not alive.any():
+                break
+        X[:, active] = P0
         active = active[alive]
 
     # Phase 2: finish the exponential tail one trial at a time in plain
     # Python, where the per-step cost is flat instead of one numpy
-    # dispatch sweep per surviving batch row.
-    Ux = table[0].tolist()
-    Uy = table[1].tolist()
+    # dispatch sweep per surviving batch row.  Memoryviews index the
+    # table as Python floats without a list of them.
+    Ux = memoryview(table[0])
+    Uy = memoryview(table[1])
     cx, cy = float(centre[0, 0]), float(centre[1, 0])
+    draws = draws[0]
     sums = np.empty((chunk, 2))
     for i in active:
         g = gens[i]

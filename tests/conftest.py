@@ -67,29 +67,33 @@ def sde_tilted(tilted_c0, tilted_c1):
     """2000-trial hitting runs at h = 0.2 with their dt-halved twins.
 
     These take a few minutes combined, so both the module tests and the
-    acceptance suite draw from this single set of runs.
+    acceptance suite draw from this single set of runs, stepped in one
+    fan-out.
     """
-    from kramers_lab.sde import halved_dt, hitting_time_stats, make_config
+    from kramers_lab.sde import (halved_dt, hitting_time_stats, make_config,
+                                 simulate)
 
-    runs = {}
+    cfgs = {}
     for tag, ana in (("c0", tilted_c0), ("c1", tilted_c1)):
         cfg = make_config(ana.land, ana.wm, 0.2,
                           start_well=ana.shallow_well, trials=2000, seed=0)
-        runs[tag] = (cfg, hitting_time_stats(cfg))
-        half = halved_dt(cfg)
-        runs[tag + "_half"] = (half, hitting_time_stats(half))
-    return runs
+        cfgs[tag] = cfg
+        cfgs[tag + "_half"] = halved_dt(cfg)
+    runs = simulate(cfgs.values())
+    return {tag: (cfg, hitting_time_stats(cfg, run))
+            for (tag, cfg), run in zip(cfgs.items(), runs)}
 
 
 @pytest.fixture(scope="session")
 def sde_arrhenius(tilted_c0):
-    """2000-trial runs at h = 0.15 and h = 0.25 for the slowdown trend."""
-    from kramers_lab.sde import hitting_time_stats, make_config
+    """2000-trial runs at h = 0.15 and h = 0.25 for the slowdown trend,
+    stepped in one fan-out."""
+    from kramers_lab.sde import hitting_time_stats, make_config, simulate
 
-    out = {}
-    for h in (0.15, 0.25):
-        cfg = make_config(tilted_c0.land, tilted_c0.wm, h,
-                          start_well=tilted_c0.shallow_well, trials=2000,
-                          seed=0)
-        out[h] = hitting_time_stats(cfg)
-    return out
+    cfgs = {h: make_config(tilted_c0.land, tilted_c0.wm, h,
+                           start_well=tilted_c0.shallow_well, trials=2000,
+                           seed=0)
+            for h in (0.15, 0.25)}
+    runs = simulate(cfgs.values())
+    return {h: hitting_time_stats(cfg, run)
+            for (h, cfg), run in zip(cfgs.items(), runs)}

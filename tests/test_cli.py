@@ -240,6 +240,7 @@ def test_manifest_records_stages_and_versions(tilted_run):
     assert [s["stage"] for s in man["stages"]] == ["analyze", "spectrum",
                                                    "quasimode"]
     assert all(s["status"] == "passed" for s in man["stages"])
+    assert all(s["wall_s"] > 0 for s in man["stages"])
     assert man["versions"]["kramers_lab"]
     assert man["config"]["grid"]["n"] == 96
 
@@ -292,6 +293,37 @@ def test_sde_stage_report(tmp_path, monkeypatch):
         150 * float(mfpt) / cell["dt"], rel=1e-9)
     assert cell["trial_steps"] == pytest.approx(
         150 * float(mean) / cell["dt"], rel=1e-6)
+    # the one cell has every usable CPU
+    assert cell["shards"] == forked.usable_cpus()
+
+
+def test_sde_stage_solves_its_spectra_together(tmp_path, monkeypatch):
+    # without the spectrum stage the sde stage asks for every cell's
+    # spectrum in one solve_spectra call, and steps the cells in one
+    # simulate call
+    calls = {"solve_spectra": [], "simulate": []}
+    for name in calls:
+        def spy(cells, fn=getattr(cli, name), log=calls[name]):
+            log.append(list(cells))
+            return fn(log[-1])
+        monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 4)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     h=[0.25, 0.3],
+                     stages=["analyze", "sde"],
+                     grid={"n": 64},
+                     sde={"trials": 150},
+                     out=str(out))
+    assert main(["run", str(cfg)]) == 0
+    (cells,) = calls["solve_spectra"]
+    assert [(h, n) for _, h, n in cells] == [(0.25, 64), (0.3, 64)]
+    (sims,) = calls["simulate"]
+    assert [sim.h for sim in sims] == [0.25, 0.3]
+    man = json.loads((out / "run_manifest.json").read_text())
+    assert [cell["shards"] for cell in man["diagnostics"]["sde"]] == [2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def test_sde_stage_gates_against_the_discrete_mfpt(tmp_path):
@@ -704,11 +736,13 @@ def test_identical_runs_are_byte_identical(tmp_path):
         outs.append(out)
     for name in ("ek_table.csv", "well_map.json", "graded_selftest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    # manifests may differ only in the timestamp
+    # manifests may differ only in the timestamp and the stage wall times
     m0 = json.loads((outs[0] / "run_manifest.json").read_text())
     m1 = json.loads((outs[1] / "run_manifest.json").read_text())
     m0.pop("timestamp"), m1.pop("timestamp")
     m0["config"].pop("out"), m1["config"].pop("out")
+    for record in m0["stages"] + m1["stages"]:
+        assert record.pop("wall_s") > 0
     assert m0 == m1
 
 

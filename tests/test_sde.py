@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import hashlib
-import math
 import multiprocessing
 
 import numpy as np
@@ -23,12 +22,23 @@ from kramers_lab.sde import (
     hitting_time_stats,
     make_config,
     mean_first_passage,
+    simulate,
 )
 
 
 def _lambda2(ana, h, n=96):
     res = small_spectrum(ana.operator(h, n), count=4)
     return float(np.real(res.eigenvalues[1]))
+
+
+def _stats(cfg):
+    return hitting_time_stats(cfg, simulate([cfg])[0])
+
+
+def _table_nodes(land):
+    axis = np.linspace(-land.halfwidth, land.halfwidth, sde._TABLE_N)
+    xx, yy = np.meshgrid(axis, axis, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -95,21 +105,19 @@ def test_start_well_selection(tilted_c0, triple):
 
 def test_drift_table_matches_exact_drift(tilted_c1):
     land = tilted_c1.land
-    drift = _drift_table(land, 0.2, math.inf)
-    axis, table = drift.axis, drift.U
+    table = _drift_table(land, 0.2, 1.0)
+    nodes = _table_nodes(land)
     # spot-check table nodes directly against the expressions
     rng = np.random.default_rng(3)
-    idx = rng.integers(0, len(axis), size=(200, 2))
-    pts = np.column_stack([axis[idx[:, 0]], axis[idx[:, 1]]])
-    exact = land.grad_V_at(pts) + land.b_h_at(pts, 0.2)
-    assert np.allclose(table[idx[:, 0], idx[:, 1]], exact, atol=1e-12)
+    idx = rng.integers(0, len(nodes), size=200)
+    exact = land.grad_V_at(nodes[idx]) + land.b_h_at(nodes[idx], 0.2)
+    assert np.allclose(table[:, idx].T, exact, atol=1e-12)
     # the default dt is the guard min(h, 1) / (10 max|U_h|), the max taken
     # over the table nodes with V <= sigma + 1, here from a one-shot V
     start = tilted_c1.shallow_well
     cfg = make_config(land, tilted_c1.wm, 0.2, start_well=start, trials=10)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    V = land.V_at(np.column_stack([xx.ravel(), yy.ravel()])).reshape(xx.shape)
-    speed = np.sqrt((table**2).sum(axis=2))
+    V = land.V_at(nodes)
+    speed = np.sqrt((table**2).sum(axis=0))
     region = speed[V <= start.sigma + 1.0].max()
     assert cfg.dt == 0.2 / (10.0 * region)
     # the region excludes the box corners, where |U_h| is largest
@@ -119,12 +127,29 @@ def test_drift_table_matches_exact_drift(tilted_c1):
 @pytest.mark.parametrize("fixture", ["tilted_c0", "tilted_c1"])
 def test_drift_table_blocks_match_one_shot_evaluation(fixture, request):
     land = request.getfixturevalue(fixture).land
-    drift = _drift_table(land, 0.2, math.inf)
-    axis, table = drift.axis, drift.U
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    dt = 1.7e-3
+    table = _drift_table(land, 0.2, dt)
+    pts = _table_nodes(land)
     one_shot = land.grad_V_at(pts) + land.b_h_at(pts, 0.2)
-    assert np.array_equal(table, one_shot.reshape(table.shape))
+    assert np.array_equal(table, (one_shot * dt).T)
+
+
+def test_a_config_holds_no_drift_table(tilted_c0, monkeypatch):
+    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25,
+                      start_well=tilted_c0.shallow_well, trials=12, seed=7)
+    held = [*vars(cfg).values(), *cfg.guard]
+    assert max(v.size for v in held if isinstance(v, np.ndarray)) == 2
+    # the shard builds its own table, dt-scaled: _drift_table's
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return _drift_table(*args)
+
+    monkeypatch.setattr(sde, "_drift_table", spy)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
+    simulate([cfg])
+    assert built == [(cfg.land, cfg.h, cfg.dt)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +185,7 @@ def test_start_inside_target_gives_zero_times(tilted_c0):
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
                       start_well=tilted_c0.shallow_well, trials=50)
     inside = dataclasses.replace(cfg, start=cfg.target_center.copy())
-    st = hitting_time_stats(inside)
+    st = _stats(inside)
     assert st.mean == 0.0
     assert st.stderr == 0.0
     assert np.all(st.taus == 0.0)
@@ -179,46 +204,49 @@ BOX_GUARD_TAUS_SHA256 = (
 def test_fixed_seed_is_bit_reproducible(tilted_c0):
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25,
                       start_well=tilted_c0.shallow_well, trials=120, seed=7)
-    a = hitting_time_stats(cfg)
-    b = hitting_time_stats(cfg)
+    a = _stats(cfg)
+    b = _stats(cfg)
     assert a.mean == b.mean
     assert np.array_equal(a.taus, b.taus)
     assert hashlib.sha256(a.taus.tobytes()).hexdigest() == GOLDEN_TAUS_SHA256
 
     other = dataclasses.replace(cfg, seed=8)
-    assert hitting_time_stats(other).mean != a.mean
+    assert _stats(other).mean != a.mean
 
 
 def test_box_guard_step_reproduces_the_earlier_golden_run(tilted_c0):
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25,
                       start_well=tilted_c0.shallow_well, trials=120, seed=7)
-    box = 0.25 / (10.0 * np.sqrt((cfg.drift.U**2).sum(axis=2)).max())
+    U = _drift_table(cfg.land, cfg.h, 1.0)
+    box = 0.25 / (10.0 * np.sqrt((U**2).sum(axis=0)).max())
     assert box < cfg.dt / 2
-    st = hitting_time_stats(dataclasses.replace(cfg, dt=box))
+    st = _stats(dataclasses.replace(cfg, dt=box))
     assert hashlib.sha256(st.taus.tobytes()).hexdigest() \
         == BOX_GUARD_TAUS_SHA256
 
 
 def test_derived_configs_reuse_the_drift_table(tilted_c0, monkeypatch):
+    # the config keeps the guard's max|U_h| over the table, not the table
     builds = []
+    peak = sde._guard_peak
 
     def counted(*args):
         builds.append(args)
-        return _drift_table(*args)
+        return peak(*args)
 
-    monkeypatch.setattr(sde, "_drift_table", counted)
+    monkeypatch.setattr(sde, "_guard_peak", counted)
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
                       start_well=tilted_c0.shallow_well, trials=10)
     half = halved_dt(cfg)
     reseeded = dataclasses.replace(cfg, seed=5)
     assert len(builds) == 1
-    assert half.drift is reseeded.drift is cfg.drift
-    # a different h or sigma needs a table of its own
+    assert half.guard is reseeded.guard is cfg.guard
+    # a different h or sigma needs a guard of its own
     other_h = dataclasses.replace(cfg, h=0.25, dt=None)
     other_sigma = dataclasses.replace(cfg, sigma=cfg.sigma + 0.5, dt=None)
     assert len(builds) == 3
-    assert other_h.drift.h == 0.25
-    assert other_sigma.drift.level == pytest.approx(cfg.drift.level + 0.5)
+    assert other_h.guard.h == 0.25
+    assert other_sigma.guard.level == pytest.approx(cfg.guard.level + 0.5)
 
 
 def _reflecting_box() -> SimulationConfig:
@@ -236,10 +264,11 @@ def _reflecting_box() -> SimulationConfig:
 def test_escapes_count_only_paths_still_in_flight(monkeypatch):
     # With one-step chunks no path takes a step past its hitting time, so
     # both runs must agree on every count.
+    # One-step chunks are also shorter than a target-test block.
     cfg = _reflecting_box()
-    batched = hitting_time_stats(cfg)
+    batched = _stats(cfg)
     monkeypatch.setattr(sde, "_CHUNK", 1)
-    stepwise = hitting_time_stats(cfg)
+    stepwise = _stats(cfg)
     assert np.array_equal(batched.taus, stepwise.taus)
     assert batched.escapes > 0
     assert batched.escapes == stepwise.escapes
@@ -281,15 +310,53 @@ def test_shards_are_bit_identical(case, tilted_c0, monkeypatch):
     else:
         cfg = _reflecting_box()
     monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
-    whole = hitting_time_stats(cfg)
+    whole = _stats(cfg)
     # three shards: uneven sizes for 40 trials, and more workers than the
     # two CPUs of a small host
     monkeypatch.setattr(forked, "usable_cpus", lambda: 3)
-    sharded = hitting_time_stats(cfg)
+    sharded = _stats(cfg)
     assert multiprocessing.active_children() == []
     assert np.array_equal(sharded.taus, whole.taus)
     assert sharded.escapes == whole.escapes
     assert sharded.mean == whole.mean
+
+
+@pytest.mark.parametrize("cells", [2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_simulate_matches_one_config_runs(cpus, cells, monkeypatch):
+    # mixed dt (a config and its dt-halved twin), paths that reflect off
+    # the walls, and more configs than CPUs, as many, or fewer
+    box = _reflecting_box()
+    cfgs = [box, halved_dt(box), dataclasses.replace(box, seed=4)][:cells]
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
+    alone = [simulate([cfg])[0] for cfg in cfgs]
+    assert all(escapes > 0 for _, escapes in alone)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
+    together = simulate(cfgs)
+    assert multiprocessing.active_children() == []
+    assert sde.shard_counts(cfgs) == [max(1, cpus // cells)] * cells
+    for (taus, escapes), (ref_taus, ref_escapes) in zip(together, alone):
+        assert np.array_equal(taus, ref_taus)
+        assert escapes == ref_escapes
+
+
+def test_simulate_fans_out_one_job_per_cell(monkeypatch):
+    jobs = []
+    starmap = forked.starmap
+
+    def spy(fn, arglists):
+        jobs.extend(arglists)
+        return starmap(fn, jobs)
+
+    monkeypatch.setattr(forked, "starmap", spy)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    box = _reflecting_box()
+    cfgs = [box, halved_dt(box)]
+    simulate(cfgs)
+    # a config per CPU: one shard each, with the one-shard tail switch
+    assert [(trials, switch) for _, trials, switch in jobs] == [
+        (range(0, 40), 24)] * 2
+    assert all(job[0] is cfg for job, cfg in zip(jobs, cfgs))
 
 
 @pytest.mark.parametrize("case", ["reflecting-box", "golden"])
@@ -302,7 +369,7 @@ def test_path_does_not_depend_on_the_phase_that_steps_it(case, tilted_c0,
     else:
         cfg = _reflecting_box()
     monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
-    mixed = hitting_time_stats(cfg)
+    mixed = _stats(cfg)
     trials = range(cfg.trials)
     # switch 0: every trial stays in the batch; switch = all: every trial
     # is stepped by the scalar tail from its first step
@@ -324,7 +391,7 @@ def test_max_time_cap_raises(tilted_c0, monkeypatch):
         monkeypatch.setattr(sde, "_CHUNK", chunk)
         with pytest.raises(SdeError,
                            match=r"^4 of 4 trials .* max_time = 0\.05"):
-            hitting_time_stats(cfg)
+            _stats(cfg)
     assert multiprocessing.active_children() == []
 
 
@@ -338,7 +405,7 @@ def test_failing_shard_raises_with_its_traceback(tilted_c0, monkeypatch):
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
                       start_well=tilted_c0.shallow_well, trials=4)
     with pytest.raises(WorkerError, match="^RuntimeError: planted$") as info:
-        hitting_time_stats(cfg)
+        simulate([cfg])
     cause = str(info.value.__cause__)
     assert "in _run_shard" in cause
     assert "in planted_draw" in cause
