@@ -46,7 +46,9 @@ spectrum stage does, builds each cell's config and u(start), steps every
 cell in one ``sde.simulate``, then gates each cell in order: the mean
 hitting time against the discrete mean first-passage time u(start) from
 ``sde.mean_first_passage``, within a factor 2; 1/lambda_2 stays a report
-column.
+column.  A cell whose config or u(start) is refused stops the stage
+before any cell is stepped, so that refusal is reported even when an
+earlier cell's gate would fail.
 
 Every run writes run_manifest.json (config, versions, stage outcomes
 with their wall times, the analyze stage's genericity report per c:
@@ -92,7 +94,7 @@ from .quasimode import (
 )
 from .saddle import UnsupportedCaseError
 from .sde import (SdeError, hitting_time_stats, make_config,
-                  mean_first_passage, shard_counts, simulate)
+                  mean_first_passage, simulate)
 
 STAGES = ("analyze", "spectrum", "quasimode", "sde", "graded-selftest")
 _NEEDS_LANDSCAPE = ("analyze", "spectrum", "quasimode", "sde")
@@ -496,11 +498,9 @@ def _stage_sde(ctx: _Context) -> list[str]:
             # would carry the LU factor past the process's peak
             mfpt = mean_first_passage(sim, ana.operator(h, cfg.grid_n))
             cells.append((h, c, lam2, sim, mfpt))
-    sims = [sim for _, _, _, sim, _ in cells]
-    runs = simulate(sims)
+    runs = simulate(sim for _, _, _, sim, _ in cells)
     rows = []
-    for (h, c, lam2, sim, mfpt), run, shards in zip(cells, runs,
-                                                    shard_counts(sims)):
+    for (h, c, lam2, sim, mfpt), run in zip(cells, runs):
         st = hitting_time_stats(sim, run)
         ratio = st.mean * lam2
         rows.append([h, c, st.mean, st.stderr, 1.0 / lam2, ratio, mfpt,
@@ -512,7 +512,7 @@ def _stage_sde(ctx: _Context) -> list[str]:
             "trial_steps": int(np.rint(st.taus / sim.dt).sum()),
             "escapes": st.escapes,
             "predicted_trial_steps": sim.trials * mfpt / sim.dt,
-            "shards": shards,
+            "shards": run.shards,
         })
         factor = st.mean / mfpt
         if not 0.5 <= factor <= 2.0:

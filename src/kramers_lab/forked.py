@@ -17,7 +17,6 @@ from __future__ import annotations
 import gc
 import os
 import traceback
-from collections import deque
 
 # children started and not yet reaped; gc stays frozen while any are
 _live = 0
@@ -123,25 +122,33 @@ def starmap(fn, arglists) -> list:
 
     With one usable CPU the calls run in this process.  Otherwise each runs
     in a ``Forked`` child, at most ``usable_cpus()`` at once, so the
-    machine's peak memory grows with that many calls' own.  ``arglists`` is
-    read as a slot is about to free: a generator builds the next arguments
-    while the children run.  The first failed call raises ``WorkerError``
-    after the other children are stopped.
+    machine's peak memory grows with that many calls' own.  A slot goes to
+    the next call as soon as any child has sent its result, so a long call
+    holds only its own CPU.  ``arglists`` is read as a slot is about to
+    free: a generator builds the next arguments while the children run.
+    The first failed call to report raises ``WorkerError`` after the other
+    children are stopped.
     """
     cpus = usable_cpus()
     if cpus == 1:
         return [fn(*args) for args in arglists]
-    results, live = [], deque()     # running children, oldest first
+    from multiprocessing.connection import wait
+
+    results, live = {}, {}      # input index -> result; pipe -> child
+
+    def collect():
+        i, child = live.pop(wait(list(live))[0])
+        results[i] = child.result()
+
     try:
-        for args in arglists:
+        for i, args in enumerate(arglists):
             if len(live) == cpus:
-                results.append(live[0].result())
-                live.popleft()
-            live.append(Forked(fn, *args))
+                collect()
+            child = Forked(fn, *args)
+            live[child._conn] = (i, child)
         while live:
-            results.append(live[0].result())
-            live.popleft()
+            collect()
     finally:
-        for child in live:
+        for _, child in live.values():
             child.close()
-    return results
+    return [results[i] for i in range(len(results))]

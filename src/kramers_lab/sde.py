@@ -27,10 +27,9 @@ with dataclasses.replace; each shard builds its own table, so the main
 process holds none.  Paths are stepped in one vectorized batch while
 many trials are still running and finished off one by one in a scalar
 loop, which is what makes the exponential tail of the hitting-time
-distribution affordable.  The batch stores the positions of a block of
-up to 64 steps and tests them against the target in one pass; it
-reflects at the walls step by step only when some position of the block
-left the box, by stepping the block again.
+distribution affordable.  The batch reflects at the walls step by step,
+stores the positions of a block of up to 64 steps and tests them against
+the target in one pass.
 
 ``simulate`` steps the trials of every config in one ``forked.starmap``.
 With W usable CPUs and C configs, a config runs in max(1, min(W // C,
@@ -268,29 +267,33 @@ class HittingStats:
     taus: np.ndarray = field(repr=False)
 
 
-def shard_counts(cfgs) -> list[int]:
-    """The shards each of ``cfgs`` runs in when simulate steps them
-    together: the usable CPUs split evenly between the configs, at least
-    one and at most one per trial."""
-    cpus = forked.usable_cpus()
-    return [max(1, min(cpus // len(cfgs), cfg.trials)) for cfg in cfgs]
+class Run(NamedTuple):
+    """One config's trials as simulate stepped them: tau per trial, the
+    wall reflections of paths still in flight, and the shards they ran
+    in."""
+
+    taus: np.ndarray
+    escapes: int
+    shards: int
 
 
-def simulate(cfgs) -> list[tuple[np.ndarray, int]]:
-    """(taus, escapes) of every trial of each config, in input order.
+def simulate(cfgs) -> list[Run]:
+    """The Run of each config, in input order.
 
-    Config k runs in shard_counts(cfgs)[k] shards, trial i in shard i mod
-    that count, and the shards of all configs go through one
-    forked.starmap.  A shard switches to the scalar tail once at most
-    ceil(_TAIL_SWITCH / shards) of its trials are still in flight, so the
-    tail work summed over a config's shards stays where one shard would
-    put it.  Every trial draws from its own stream, so taus and escapes do
-    not depend on the shard counts.  A config that starts inside its
-    target takes no step: its taus are zero.
+    With W usable CPUs and C configs, a config runs in max(1, min(W // C,
+    trials)) shards, trial i in shard i mod that count, and the shards of
+    all configs go through one forked.starmap.  A shard switches to the
+    scalar tail once at most ceil(_TAIL_SWITCH / shards) of its trials are
+    still in flight, so the tail work summed over a config's shards stays
+    where one shard would put it.  Every trial draws from its own stream,
+    so taus and escapes do not depend on the shard counts.  A config that
+    starts inside its target takes no step: its taus are zero.
     """
     cfgs = list(cfgs)
+    cpus = forked.usable_cpus()
+    counts = [max(1, min(cpus // len(cfgs), cfg.trials)) for cfg in cfgs]
     jobs = []       # (config index, trials, switch)
-    for k, (cfg, shards) in enumerate(zip(cfgs, shard_counts(cfgs))):
+    for k, (cfg, shards) in enumerate(zip(cfgs, counts)):
         if float(((cfg.start - cfg.target_center) ** 2).sum()) \
                 > cfg.target_radius**2:
             switch = -(-_TAIL_SWITCH // shards)
@@ -303,18 +306,17 @@ def simulate(cfgs) -> list[tuple[np.ndarray, int]]:
     for (k, trials, _), (shard_taus, shard_escapes) in zip(jobs, results):
         taus[k][trials.start::trials.step] = shard_taus
         escapes[k] += shard_escapes
-    return list(zip(taus, escapes))
+    return [Run(*run) for run in zip(taus, escapes, counts)]
 
 
-def hitting_time_stats(cfg: SimulationConfig,
-                       run: tuple[np.ndarray, int]) -> HittingStats:
-    """Mean and standard error of the hitting times of ``run``, cfg's
-    (taus, escapes) from simulate.
+def hitting_time_stats(cfg: SimulationConfig, run: Run) -> HittingStats:
+    """Mean and standard error of the hitting times of ``run``, cfg's Run
+    from simulate.
 
     A trial whose tau is not <= cfg.max_time is unfinished; SdeError
     reports how many there are.
     """
-    taus, escapes = run
+    taus = run.taus
     unfinished = int(np.count_nonzero(~(taus <= cfg.max_time)))
     if unfinished:
         raise SdeError(
@@ -324,7 +326,7 @@ def hitting_time_stats(cfg: SimulationConfig,
     mean = float(taus.mean())
     stderr = float(taus.std(ddof=1) / math.sqrt(cfg.trials))
     return HittingStats(mean=mean, stderr=stderr, trials=cfg.trials,
-                        escapes=escapes, taus=taus)
+                        escapes=run.escapes, taus=taus)
 
 
 def _sum_draws(draws: np.ndarray, out: np.ndarray) -> None:
@@ -418,44 +420,33 @@ def _run_shard(cfg: SimulationConfig, trials: range,
         drift = np.empty((2, rows))
         for k0 in range(0, chunk, block):
             kb = min(block, chunk - k0)
-            # The block is stepped without the walls first.  Only if some
-            # position left the box is it stepped again from P0,
-            # reflecting each step, which is what a walk that reflected
-            # all along would have done.
-            for walls in (False, True):
-                P, reflections = P0, []
-                for k in range(kb):
-                    np.subtract(P, a0, out=f)
-                    f *= inv
-                    np.trunc(f, out=cell)   # as int() does
-                    np.minimum(cell, n - 2, out=cell)
-                    np.subtract(f, cell, out=t)
-                    # x/y by corner by row in one gather (mode="clip"
-                    # spares take a buffered copy, and keeps the indices
-                    # of the wall-free pass's positions beyond the box in
-                    # the table), then the bilinear weights: ty for
-                    # (ua, ub), then tx between them
-                    np.matmul(corners, idx, out=flat_idx, casting="unsafe")
-                    table.take(flat_idx, axis=1, out=u, mode="clip")
-                    np.subtract(hi, lo, out=ab)
-                    ab *= ty
-                    ab += lo
-                    np.subtract(ub, ua, out=drift)
-                    drift *= tx
-                    drift += ua
-                    np.subtract(noise[k0 + k], drift, out=drift)
-                    P = np.add(P, drift, out=Q[k])
-                    if walls:
-                        np.abs(P, out=f)
-                        # argmax finds the largest entry for a fraction
-                        # of the cost of max()
-                        if f_all[f_all.argmax()] > L:
-                            out = f > L
-                            reflections.append((k, out))
-                            np.copyto(P, np.copysign(2.0 * L, P) - P,
-                                      where=out)
-                if walls or max(Q[:kb].max(), -Q[:kb].min()) <= L:
-                    break
+            P, reflections = P0, []
+            for k in range(kb):
+                np.subtract(P, a0, out=f)
+                f *= inv
+                np.trunc(f, out=cell)   # as int() does
+                np.minimum(cell, n - 2, out=cell)
+                np.subtract(f, cell, out=t)
+                # x/y by corner by row in one gather (mode="clip" spares
+                # take a buffered copy), then the bilinear weights: ty for
+                # (ua, ub), then tx between them
+                np.matmul(corners, idx, out=flat_idx, casting="unsafe")
+                table.take(flat_idx, axis=1, out=u, mode="clip")
+                np.subtract(hi, lo, out=ab)
+                ab *= ty
+                ab += lo
+                np.subtract(ub, ua, out=drift)
+                drift *= tx
+                drift += ua
+                np.subtract(noise[k0 + k], drift, out=drift)
+                P = np.add(P, drift, out=Q[k])
+                np.abs(P, out=f)
+                # argmax finds the largest entry for a fraction of the
+                # cost of max()
+                if f_all[f_all.argmax()] > L:
+                    out = f > L
+                    reflections.append((k, out))
+                    np.copyto(P, np.copysign(2.0 * L, P) - P, where=out)
             # the target test of the whole block: each row's first step
             # with d2 <= r2, of the rows that had not hit before it
             D = Q[:kb] - centre

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kramers_lab import analysis, cli, forked, graded
+from kramers_lab import analysis, cli, forked, graded, sde
 from kramers_lab.analysis import Analysis
 from kramers_lab.cli import ConfigError, main, parse_config
 from kramers_lab.labelling import WellMap
@@ -324,6 +324,35 @@ def test_sde_stage_solves_its_spectra_together(tmp_path, monkeypatch):
     man = json.loads((out / "run_manifest.json").read_text())
     assert [cell["shards"] for cell in man["diagnostics"]["sde"]] == [2, 2]
     assert multiprocessing.active_children() == []
+
+
+def test_sde_stage_builds_every_config_before_it_steps(tmp_path,
+                                                      monkeypatch):
+    # the c=0 cell's gate would fail (u(start) far above any mean), but
+    # the c=1 cell's config is refused first, and nothing is stepped
+    built, stepped = [], []
+
+    def make_config(*args, **kwargs):
+        built.append(args)
+        if len(built) == 2:
+            raise sde.SdeError("planted refusal")
+        return sde.make_config(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_config", make_config)
+    monkeypatch.setattr(cli, "mean_first_passage", lambda sim, op: 1e9)
+    monkeypatch.setattr(cli, "simulate", stepped.append)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     h=[0.3], c=[0.0, 1.0],
+                     stages=["sde"],
+                     grid={"n": 64},
+                     sde={"trials": 10},
+                     out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    man = json.loads((out / "run_manifest.json").read_text())
+    assert man["stages"][-1]["message"] == "sde: planted refusal"
+    assert stepped == []
 
 
 def test_sde_stage_gates_against_the_discrete_mfpt(tmp_path):

@@ -59,6 +59,22 @@ def test_starmap_returns_results_in_input_order(monkeypatch):
     assert gc.get_freeze_count() == 0
 
 
+def _timed_sleep(seconds):
+    start = time.monotonic()
+    time.sleep(seconds)
+    return start, time.monotonic()
+
+
+def test_starmap_frees_the_slot_of_the_first_child_to_finish(monkeypatch):
+    # the third call takes the second call's slot while the long first
+    # call still runs, instead of waiting for the oldest child
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    (_, long_end), _, (third_start, _) = forked.starmap(
+        _timed_sleep, [(2.0,), (0.05,), (0.05,)])
+    assert third_start < long_end
+    assert multiprocessing.active_children() == []
+
+
 def test_one_cpu_solves_in_this_process(tilted_c0, monkeypatch):
     started = []
     init = Forked.__init__

@@ -330,14 +330,14 @@ def test_simulate_matches_one_config_runs(cpus, cells, monkeypatch):
     cfgs = [box, halved_dt(box), dataclasses.replace(box, seed=4)][:cells]
     monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
     alone = [simulate([cfg])[0] for cfg in cfgs]
-    assert all(escapes > 0 for _, escapes in alone)
+    assert all(run.escapes > 0 for run in alone)
     monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
     together = simulate(cfgs)
     assert multiprocessing.active_children() == []
-    assert sde.shard_counts(cfgs) == [max(1, cpus // cells)] * cells
-    for (taus, escapes), (ref_taus, ref_escapes) in zip(together, alone):
-        assert np.array_equal(taus, ref_taus)
-        assert escapes == ref_escapes
+    for run, ref in zip(together, alone):
+        assert np.array_equal(run.taus, ref.taus)
+        assert run.escapes == ref.escapes
+        assert run.shards == max(1, cpus // cells)
 
 
 def test_simulate_fans_out_one_job_per_cell(monkeypatch):
