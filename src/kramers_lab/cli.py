@@ -24,22 +24,15 @@ next to a preset, or the tilt ``a`` anywhere but on
 ``tilted_double_well``.  Stages run in dependency order; analyze is added
 implicitly when a later stage needs its output.
 
-The graded self-test reads nothing from the landscape, so when it is
-among the stages ``run`` forks one worker for it (``forked.Forked``)
-before the first stage; it runs ``graded.measure_instances`` on a second
-CPU beside the landscape stages and hands the per-instance measurements
-back when the graded-selftest stage comes up, which summarizes them with
-``graded.selftest`` in this process, then writes and checks the report.
-The worker is a copy-on-write fork of the process as it is before any
-landscape work and shares most of its pages with it; it holds about
-10 MB of its own on the 200-instance default (see README).  It stays
-alive while the spectrum stage fans out its small-spectrum solves and
-the sde stage the shards of all its cells (``sde.simulate``), both
-through ``forked.starmap``.  A run whose
-earlier stage fails stops the worker.  ``kramers-lab selftest`` runs
-``graded.measure_instances`` in-process and summarizes the measurements
-with ``graded.selftest``; like ``run`` it refuses ``--instances`` below 1
-and a negative ``--seed`` with exit code 2.
+The graded self-test reads nothing from the landscape.  Its stage
+measures the random instances with ``graded.measure_instances``,
+summarizes them with ``graded.selftest``, then writes and checks the
+report.  ``kramers-lab selftest`` runs the same two calls; like ``run``
+it refuses ``--instances`` below 1 and a negative ``--seed`` with exit
+code 2.  Every child a run starts comes from one ``forked.starmap``
+window of a stage: the spectrum stage's small-spectrum solves, the sde
+stage's shards of all its cells (``sde.simulate``) and the self-test's
+instance ranges.
 
 The sde stage solves the spectra of all its cells at once, as the
 spectrum stage does, builds each cell's config and u(start), steps every
@@ -81,7 +74,6 @@ import numpy as np
 from . import expr as ex
 from .analysis import Analysis, solve_spectra
 from .discretize import DiscretizationError, Grid
-from .forked import Forked
 from .graded import measure_instances
 from .graded import selftest as graded_selftest
 from .labelling import LabellingError
@@ -322,7 +314,6 @@ class _Context:
 
     cfg: RunConfig
     analyses: dict = field(default_factory=dict)   # c -> Analysis
-    graded: Forked | None = None                   # the graded self-test
     diagnostics: dict = field(default_factory=dict)  # stage -> cell records
 
     def analysis(self, c: float) -> Analysis:
@@ -530,7 +521,8 @@ def _stage_sde(ctx: _Context) -> list[str]:
 
 def _stage_graded(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
-    report = graded_selftest(ctx.graded.result())
+    report = graded_selftest(measure_instances(cfg.graded_instances,
+                                               cfg.seed))
     with open(cfg.out / "graded_selftest.json", "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
@@ -583,46 +575,36 @@ def run(cfg: RunConfig) -> int:
     ctx = _Context(cfg)
     stage_records = []
     failed = False
-    try:
-        if "graded-selftest" in cfg.stages:
-            # reads nothing from the landscape: start it now, on another CPU
-            ctx.graded = Forked(measure_instances, cfg.graded_instances,
-                                cfg.seed)
-        for name in cfg.stages:
-            if failed:
-                stage_records.append({"stage": name, "status": "skipped",
-                                      "message": "earlier stage failed",
-                                      "artifacts": [], "wall_s": 0.0})
-                continue
-            start = time.perf_counter()
-            try:
-                artifacts = _STAGE_FUNCS[name](ctx)
-                record = {"stage": name, "status": "passed", "message": "",
-                          "artifacts": artifacts}
-            except (StageFailure, DiscretizationError, SdeError,
-                    LandscapeError, LabellingError,
-                    UnsupportedCaseError) as e:
-                # a refusal of the landscape, the grid or the SDE run says
-                # what is wrong: a stage failure like a violated
-                # invariant, not a crash
-                msg = str(e) if isinstance(e, StageFailure) \
-                    else f"{name}: {e}"
-                print(f"FAILED {msg}", file=sys.stderr)
-                record = {"stage": name, "status": "failed", "message": msg,
-                          "artifacts": []}
-                failed = True
-            except Exception as e:
-                msg = f"{name}: {type(e).__name__}: {e}"
-                print(f"FAILED {msg}", file=sys.stderr)
-                record = {"stage": name, "status": "failed", "message": msg,
-                          "artifacts": [],
-                          "traceback": traceback.format_exc()}
-                failed = True
-            record["wall_s"] = time.perf_counter() - start
-            stage_records.append(record)
-    finally:
-        if ctx.graded is not None:
-            ctx.graded.close()      # stops it when its stage was skipped
+    for name in cfg.stages:
+        if failed:
+            stage_records.append({"stage": name, "status": "skipped",
+                                  "message": "earlier stage failed",
+                                  "artifacts": [], "wall_s": 0.0})
+            continue
+        start = time.perf_counter()
+        try:
+            artifacts = _STAGE_FUNCS[name](ctx)
+            record = {"stage": name, "status": "passed", "message": "",
+                      "artifacts": artifacts}
+        except (StageFailure, DiscretizationError, SdeError, LandscapeError,
+                LabellingError, UnsupportedCaseError) as e:
+            # a refusal of the landscape, the grid or the SDE run says
+            # what is wrong: a stage failure like a violated invariant,
+            # not a crash
+            msg = str(e) if isinstance(e, StageFailure) else f"{name}: {e}"
+            print(f"FAILED {msg}", file=sys.stderr)
+            record = {"stage": name, "status": "failed", "message": msg,
+                      "artifacts": []}
+            failed = True
+        except Exception as e:
+            msg = f"{name}: {type(e).__name__}: {e}"
+            print(f"FAILED {msg}", file=sys.stderr)
+            record = {"stage": name, "status": "failed", "message": msg,
+                      "artifacts": [],
+                      "traceback": traceback.format_exc()}
+            failed = True
+        record["wall_s"] = time.perf_counter() - start
+        stage_records.append(record)
 
     manifest = {
         "config": {

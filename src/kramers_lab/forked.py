@@ -1,8 +1,9 @@
-"""Run a function in a child process beside this one and take its result.
+"""Run calls in child processes beside this one and take their results.
 
-This is the one way the package starts a process.  The CLI forks the
-graded self-test with ``Forked``; while it runs, the small-spectrum solves
-(``analysis.solve_spectra``) and the SDE shards fan out through ``starmap``.
+``starmap`` is the one way the package starts a process.  It fans out the
+small-spectrum solves (``analysis.solve_spectra``), the SDE shards
+(``sde.simulate``) and the graded self-test's instance ranges
+(``graded.measure_instances``), each call in a ``Forked`` child.
 
 Children are forked where the OS can: a fork starts in milliseconds and
 inherits its arguments, against about 1 s for spawn or forkserver, whose
@@ -17,9 +18,6 @@ from __future__ import annotations
 import gc
 import os
 import traceback
-
-# children started and not yet reaped; gc stays frozen while any are
-_live = 0
 
 
 def usable_cpus() -> int:
@@ -56,15 +54,9 @@ def _send_result(conn, fn, args) -> None:
 
 
 class Forked:
-    """``fn(*args)`` in a child process that runs beside this one.
-
-    ``gc.freeze()`` before the fork keeps both collectors off the objects
-    the two processes share, so fewer copy-on-write pages get duplicated;
-    the last ``close`` of the children alive at once unfreezes them.
-    """
+    """``fn(*args)`` in a child process that runs beside this one."""
 
     def __init__(self, fn, *args):
-        global _live
         # imported here: runs that fork nothing need none of it
         import multiprocessing
 
@@ -73,13 +65,11 @@ class Forked:
         self._conn, child_end = context.Pipe(duplex=False)
         self._proc = context.Process(target=_send_result,
                                      args=(child_end, fn, args), daemon=True)
-        gc.freeze()
-        _live += 1
         try:
             self._proc.start()
         except BaseException:
             self._proc = None
-            self._release()
+            self._conn.close()
             raise
         finally:
             child_end.close()
@@ -107,14 +97,7 @@ class Forked:
         self._proc.terminate()      # a no-op once it has been joined
         self._proc.join()
         self._proc = None
-        self._release()
-
-    def _release(self) -> None:
-        global _live
         self._conn.close()
-        _live -= 1
-        if _live == 0:
-            gc.unfreeze()
 
 
 def starmap(fn, arglists) -> list:
@@ -128,6 +111,10 @@ def starmap(fn, arglists) -> list:
     free: a generator builds the next arguments while the children run.
     The first failed call to report raises ``WorkerError`` after the other
     children are stopped.
+
+    ``gc.freeze()`` before the first fork keeps every collector off the
+    objects the processes share, so fewer copy-on-write pages get
+    duplicated; the window unfreezes them when its last child is reaped.
     """
     cpus = usable_cpus()
     if cpus == 1:
@@ -140,6 +127,7 @@ def starmap(fn, arglists) -> list:
         i, child = live.pop(wait(list(live))[0])
         results[i] = child.result()
 
+    gc.freeze()
     try:
         for i, args in enumerate(arglists):
             if len(live) == cpus:
@@ -151,4 +139,5 @@ def starmap(fn, arglists) -> list:
     finally:
         for _, child in live.values():
             child.close()
+        gc.unfreeze()
     return [results[i] for i in range(len(results))]

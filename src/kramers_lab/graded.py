@@ -8,6 +8,10 @@ distinct block eigenvalue, with multiplicities preserved.  The clusters can
 be computed without a dense solve by peeling Schur complements level by
 level; with the spectral parameter folded in, the peeled eigenvalues agree
 with the dense ones to machine precision.
+
+The Monte-Carlo self-test measures its seeded random instances in
+contiguous ranges fanned out by ``forked.starmap``, each range drawing
+the instances before it again, so no measurement depends on the split.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import forked
 
 
 class GradedError(ValueError):
@@ -174,32 +180,38 @@ def _plain_cluster_estimates(M, structure: GradedStructure) -> list:
         sub = pf.substructure
 
 
-def _refine_once(M, structure: GradedStructure, j: int, lam: complex) -> complex:
-    """One fixed-point sweep for an eigenvalue in cluster j.
+def _refine_once(M, structure: GradedStructure, j: int, lams: list) -> list:
+    """One fixed-point sweep for every estimate ``lams`` of cluster j.
 
     Folding the spectral parameter into each Schur complement makes the
     reduction exact: lam is an eigenvalue of M iff it is one of the fully
     folded block.  Levels above j are eliminated with shifted complements,
-    levels below j with one downward complement.
+    levels below j with one downward complement.  The estimates are swept
+    as one stack: ``solve`` and ``eigvals`` run the same LAPACK call per
+    matrix as on one, so each result is that of its own sweep.
     """
     r, tau = structure.r, structure.tau
     eps2 = structure.epsilons ** 2
-    cur = np.asarray(M, dtype=complex)
+    M = np.asarray(M, dtype=complex)
+    cur = np.broadcast_to(M, (len(lams), *M.shape))
     for t in range(j - 1):
         r1 = r[t]
-        Jb = cur[:r1, :r1] - (lam / eps2[t]) * np.eye(r1)
-        Z = cur[r1:, r1:] - cur[r1:, :r1] @ np.linalg.solve(Jb, cur[:r1, r1:])
+        shift = np.array([lam / eps2[t] for lam in lams])[:, None, None]
+        Jb = cur[:, :r1, :r1] - shift * np.eye(r1)
+        Z = cur[:, r1:, r1:] - cur[:, r1:, :r1] @ np.linalg.solve(
+            Jb, cur[:, :r1, r1:])
         cur = Z / tau[t] ** 2
-    shift = lam / eps2[j - 1]
+    shift = np.array([lam / eps2[j - 1] for lam in lams])[:, None, None]
     r1 = r[j - 1]
-    if cur.shape[0] > r1:
-        tail = cur[r1:, r1:] - shift * np.eye(cur.shape[0] - r1)
-        S = cur[:r1, :r1] - cur[:r1, r1:] @ np.linalg.solve(tail, cur[r1:, :r1])
+    if cur.shape[1] > r1:
+        tail = cur[:, r1:, r1:] - shift * np.eye(cur.shape[1] - r1)
+        S = cur[:, :r1, :r1] - cur[:, :r1, r1:] @ np.linalg.solve(
+            tail, cur[:, r1:, :r1])
     else:
         S = cur
     w = np.linalg.eigvals(S)
-    lam_new = eps2[j - 1] * w[np.argmin(np.abs(w - shift))]
-    return complex(lam_new)
+    nearest = np.argmin(np.abs(w - shift[:, :, 0]), axis=1)
+    return (eps2[j - 1] * w[np.arange(len(lams)), nearest]).tolist()
 
 
 def spectrum_by_peeling(M, structure: GradedStructure, sweeps: int = 3) -> list:
@@ -214,13 +226,10 @@ def spectrum_by_peeling(M, structure: GradedStructure, sweeps: int = 3) -> list:
         return estimates
     out = []
     for j, lams in enumerate(estimates, start=1):
-        refined = []
-        for lam in lams:
-            cur = complex(lam)
-            for _ in range(sweeps):
-                cur = _refine_once(M, structure, j, cur)
-            refined.append(cur)
-        out.append(np.array(refined))
+        cur = np.asarray(lams, dtype=complex).tolist()
+        for _ in range(sweeps):
+            cur = _refine_once(M, structure, j, cur)
+        out.append(np.array(cur))
     return out
 
 
@@ -419,20 +428,33 @@ def _measure_instance(rng):
     return k_needed, shrink, err, probe
 
 
-def measure_instances(instances: int, seed: int) -> list:
-    """The per-instance measurements ``selftest`` summarizes, in order."""
+def _measure_range(seed: int, start: int, stop: int) -> list:
+    """Instances start..stop-1 of the ``seed`` stream, measured; the ones
+    before ``start`` are drawn only to bring the stream to ``start``."""
     rng = np.random.default_rng(seed)
-    return [_measure_instance(rng) for _ in range(instances)]
+    for _ in range(start):
+        random_instance(rng)
+    return [_measure_instance(rng) for _ in range(start, stop)]
+
+
+def measure_instances(instances: int, seed: int) -> list:
+    """The per-instance measurements ``selftest`` summarizes, in order,
+    from at most ``forked.usable_cpus()`` contiguous ranges."""
+    parts = min(forked.usable_cpus(), instances)
+    cuts = [instances * k // parts for k in range(parts + 1)]
+    ranges = forked.starmap(_measure_range,
+                            ((seed, a, b) for a, b in zip(cuts, cuts[1:])))
+    return [m for part in ranges for m in part]
 
 
 def selftest(measured: list) -> dict:
     """Monte-Carlo verification of the localization theorem.
 
-    Summarizes what ``measure_instances`` returned (the CLI runs it in a
-    worker process) as a JSON-friendly report: cluster-count failures, the
-    smallest disc constant K that would have captured every instance,
-    first-order shrinking of eigenvalue clusters in h, agreement of peeled
-    and dense spectra, and resolvent-probe statistics.
+    Summarizes what ``measure_instances`` returned as a JSON-friendly
+    report: cluster-count failures, the smallest disc constant K that
+    would have captured every instance, first-order shrinking of
+    eigenvalue clusters in h, agreement of peeled and dense spectra, and
+    resolvent-probe statistics.
     """
     done = [m for m in measured if m is not None]
     k_needed, shrink_ratios, peel_errors, probes = (

@@ -441,8 +441,10 @@ def test_graded_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
     def planted_instance(*args, **kwargs):
         raise RuntimeError("planted")
 
-    # patched before run forks, so the worker's measure_instances calls it
+    # patched before the ranges fork, so the children call it; on two
+    # CPUs the failure arrives from a child
     monkeypatch.setattr(graded, "random_instance", planted_instance)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, stages=["graded-selftest"],
                      graded={"instances": 5}, out=str(out))
@@ -453,36 +455,36 @@ def test_graded_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
     assert record["message"] == \
         "graded-selftest: WorkerError: RuntimeError: planted"
     assert "in measure_instances" in record["traceback"]
+    assert "in _send_result" in record["traceback"]
     assert "in planted_instance" in record["traceback"]
     assert not (out / "graded_selftest.json").exists()
     assert multiprocessing.active_children() == []
 
 
-def test_skipped_graded_stage_stops_its_worker(tmp_path, monkeypatch):
-    workers = []
-    close = forked.Forked.close
+def test_failed_analyze_stage_starts_no_child(tmp_path, monkeypatch):
+    started = []
+    init = forked.Forked.__init__
 
-    def spy(self):
-        if self._proc is not None:
-            workers.append(self._proc)
-        close(self)
+    def spy(self, *args):
+        started.append(args)
+        init(self, *args)
 
-    monkeypatch.setattr(forked.Forked, "close", spy)
+    monkeypatch.setattr(forked.Forked, "__init__", spy)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
     out = tmp_path / "out"
-    # analyze fails within a second; 2000 instances take several
+    # the drift x breaks stationarity of exp(-V/h)
     cfg = _write_cfg(tmp_path,
                      landscape={"dimension": 2, "V": "(x^2-1)^2 + y^2",
                                 "b": ["x", "0"]},
                      h=[0.2],
                      stages=["analyze", "graded-selftest"],
-                     graded={"instances": 2000},
+                     graded={"instances": 20},
                      out=str(out))
     assert main(["run", str(cfg)]) == 1
     man = json.loads((out / "run_manifest.json").read_text())
     statuses = {s["stage"]: s["status"] for s in man["stages"]}
     assert statuses == {"analyze": "failed", "graded-selftest": "skipped"}
-    assert [w.exitcode for w in workers] == [-signal.SIGTERM]
-    assert multiprocessing.active_children() == []
+    assert started == []
     assert not (out / "graded_selftest.json").exists()
 
 
@@ -528,12 +530,12 @@ def test_failed_solve_fails_the_spectrum_stage(tmp_path, monkeypatch):
 
 
 def test_every_fork_starts_from_a_single_thread(tmp_path, monkeypatch):
-    threads = []
+    forks = []
     init = forked.Forked.__init__
 
-    def spy(self, *args):
-        threads.append(threading.active_count())
-        init(self, *args)
+    def spy(self, fn, *args):
+        forks.append((fn.__name__, threading.active_count()))
+        init(self, fn, *args)
 
     monkeypatch.setattr(forked.Forked, "__init__", spy)
     monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
@@ -546,9 +548,10 @@ def test_every_fork_starts_from_a_single_thread(tmp_path, monkeypatch):
                      graded={"instances": 200},
                      out=str(tmp_path / "out"))
     assert main(["run", str(cfg)]) == 0
-    # the graded worker, then the one solve child and both sde shards
-    # before it is reaped
-    assert threads == [1, 1, 1, 1]
+    # the one solve child, both sde shards, then both graded ranges
+    assert forks == [("small_spectrum", 1), ("_run_shard", 1),
+                     ("_run_shard", 1), ("_measure_range", 1),
+                     ("_measure_range", 1)]
     assert gc.get_freeze_count() == 0
 
 

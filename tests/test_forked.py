@@ -1,5 +1,5 @@
-"""The one process primitive: results, gc frozen while children live, and
-the windowed fan-out built on it."""
+"""The one process primitive: results, the windowed fan-out built on it,
+and gc frozen for each window."""
 
 import gc
 import multiprocessing
@@ -13,16 +13,17 @@ from kramers_lab import forked
 from kramers_lab.analysis import Analysis, solve_spectra
 from kramers_lab.discretize import small_spectrum
 from kramers_lab.forked import Forked, WorkerError
+from kramers_lab.graded import measure_instances
 
 
-def test_gc_stays_frozen_until_the_last_child_is_reaped():
-    outer = Forked(sum, [1, 2])
-    inner = Forked(max, 3, 4)
-    assert inner.result() == 4
-    assert gc.get_freeze_count() > 0      # outer is still alive
-    assert outer.result() == 3
-    assert gc.get_freeze_count() == 0
-    assert multiprocessing.active_children() == []
+def test_gc_stays_frozen_for_one_starmap_window(monkeypatch):
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    for _ in range(2):
+        # the third child forks after one of the first two is reaped
+        counts = forked.starmap(gc.get_freeze_count, [()] * 3)
+        assert min(counts) > 0
+        assert gc.get_freeze_count() == 0
+        assert multiprocessing.active_children() == []
 
 
 def test_unpicklable_result_keeps_its_traceback():
@@ -94,3 +95,16 @@ def test_one_cpu_solves_in_this_process(tilted_c0, monkeypatch):
         direct = small_spectrum(ana.operator(h, 64), 6)
         assert np.array_equal(ana._spectra[h, 64].eigenvalues,
                               direct.eigenvalues)
+
+
+@pytest.mark.parametrize("instances", [1, 2, 7])
+def test_graded_ranges_do_not_change_the_measurements(instances,
+                                                      monkeypatch):
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
+    alone = measure_instances(instances, 7001)
+    assert len(alone) == instances
+    for cpus in (2, 3):
+        monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
+        assert measure_instances(instances, 7001) == alone
+        assert multiprocessing.active_children() == []
+        assert gc.get_freeze_count() == 0
