@@ -498,8 +498,8 @@ def _stage_sde(ctx: _Context) -> list[str]:
                      (st.mean - mfpt) / st.stderr])
         diagnostics.append({
             "h": h, "c": c, "dt": sim.dt,
-            "guard_max_drift": sim.guard.peak,
-            "guard_level": sim.guard.level,
+            "guard_max_drift": sim.max_drift,
+            "guard_level": sim.guard_level,
             "trial_steps": int(np.rint(st.taus / sim.dt).sum()),
             "escapes": st.escapes,
             "predicted_trial_steps": sim.trials * mfpt / sim.dt,

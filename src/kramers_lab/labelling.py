@@ -133,7 +133,9 @@ def separating_saddles(
     nearest s +- 3 dx e, with e the unit eigenvector of the Hessian's
     negative eigenvalue lambda_1.  Both nodes must lie below the level
     V(s) - eps, eps one grid-quantum of descent (0.5 |lambda_1| dx^2), else
-    the grid is declared too coarse.  The saddle separates iff the two
+    the grid is declared too coarse; a smaller box is advised only when V's
+    quadratic model at s puts the node below that level, as a miss of the
+    model scales with dx^2 like eps.  The saddle separates iff the two
     nodes fall in distinct components of {V < V(s) - eps}.
     """
     grid = topo.grid
@@ -146,12 +148,22 @@ def separating_saddles(
         ray = POCKET_STEPS * grid.spacing * vec[:, 0]
         nodes = [grid.ij_of(s.point + ray), grid.ij_of(s.point - ray)]
         labels, _ = topo.components(level)
-        if labels[nodes[0]] == 0 or labels[nodes[1]] == 0:
-            raise LabellingError(
-                f"a descent pocket node {POCKET_STEPS} steps from the saddle "
-                f"at {s.point} is not below V(s) - eps; grid too coarse: the "
-                f"labelling grid has {grid.n} nodes across the box, so "
-                "shrink the box")
+        for ij in nodes:
+            if labels[ij] == 0:
+                d = grid.axis[list(ij)] - s.point
+                model = s.value + 0.5 * d @ s.hessian @ d - level
+                raise LabellingError(
+                    f"a descent pocket node {POCKET_STEPS} steps from the "
+                    f"saddle at {s.point} sits {topo.values[ij] - level:.3g} "
+                    f"above V(s) - eps; grid too coarse for the {grid.n}-node "
+                    "labelling grid: the quadratic model of V at the saddle "
+                    f"(Hessian eigenvalues {lam[0]:.4g} and {lam[1]:.4g}) "
+                    f"puts the node {abs(model):.3g} " + (
+                        "below it, so V's higher-order terms cause the miss; "
+                        "shrink the box" if model < 0 else
+                        "above it too: the node sits off the descent ray, "
+                        "where its height scales with dx^2 as eps does, so "
+                        "no box size resolves this saddle"))
         out.append(SaddleSeparation(
             saddle=s, level=level,
             pocket_points=tuple(grid.axis[list(ij)] for ij in nodes),

@@ -22,9 +22,8 @@ instead of resampling noise.
 The drift is evaluated by bilinear interpolation from a dense table of
 dt * U_h (the expression trees are far too slow to walk once per time
 step).  A SimulationConfig keeps only the guard's max|U_h|, computed a
-block of table rows at a time and kept by the configs derived from it
-with dataclasses.replace; each shard builds its own table, so the main
-process holds none.  Paths are stepped in one vectorized batch while
+block of table rows at a time; each shard builds its own table, so the
+main process holds none.  Paths are stepped in one vectorized batch while
 many trials are still running and finished off one by one in a scalar
 loop, which is what makes the exponential tail of the hitting-time
 distribution affordable.  The batch reflects at the walls step by step,
@@ -98,16 +97,6 @@ def _drift_table(land: Landscape, h: float, dt: float) -> np.ndarray:
     return table
 
 
-class _Guard(NamedTuple):
-    """The guard's max|U_h| over the table nodes with V <= level, with the
-    land, h and level it was computed for."""
-
-    land: Landscape
-    h: float
-    level: float
-    peak: float
-
-
 def _guard_peak(land: Landscape, h: float, level: float) -> float:
     peak = 0.0
     for pts, U in _drift_blocks(land, h):
@@ -123,10 +112,9 @@ class SimulationConfig:
     ``dt`` defaults to the guard min(h, 1) / (10 max|U_h|), with max|U_h|
     taken over the drift table's nodes with V <= sigma + 1, sigma being
     the start well's saddle height; a dt outside (0, guard] is refused.
-    Each step sums ``substeps`` standard draws.  ``guard`` holds that
-    max, computed here; a config derived with dataclasses.replace keeps
-    its source's while land, h and sigma are unchanged.  make_config adds
-    the checks that need the well map.
+    Each step sums ``substeps`` standard draws.  ``max_drift`` holds that
+    max and ``guard_level`` the level sigma + 1, both computed here.
+    make_config adds the checks that need the well map.
     """
 
     land: Landscape
@@ -140,7 +128,7 @@ class SimulationConfig:
     dt: float | None = None
     max_time: float = 10_000.0
     substeps: int = 2
-    guard: _Guard | None = field(default=None, repr=False, compare=False)
+    max_drift: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.h <= 1.0:
@@ -153,22 +141,22 @@ class SimulationConfig:
         if not (isinstance(self.substeps, int) and self.substeps >= 1):
             raise SdeError("substeps must be an integer of at least 1, got "
                            f"{self.substeps!r}")
-        level = self.sigma + _GUARD_MARGIN
-        g = self.guard
-        if g is None or g.land is not self.land or (g.h, g.level) != (
-                self.h, level):
-            g = _Guard(self.land, self.h, level,
-                       _guard_peak(self.land, self.h, level))
-            object.__setattr__(self, "guard", g)
-        guard = min(self.h, 1.0) / (10.0 * g.peak)
+        peak = _guard_peak(self.land, self.h, self.guard_level)
+        object.__setattr__(self, "max_drift", peak)
+        guard = min(self.h, 1.0) / (10.0 * peak)
         dt = guard if self.dt is None else float(self.dt)
         if not 0.0 < dt <= guard:
             raise SdeError(
                 f"dt = {dt:.3e} must lie in (0, {guard:.3e}], the guard "
                 f"min(h,1)/(10 max|U_h|) over V <= sigma + {_GUARD_MARGIN:g} "
-                f"= {level:.4g}"
+                f"= {self.guard_level:.4g}"
             )
         object.__setattr__(self, "dt", dt)
+
+    @property
+    def guard_level(self) -> float:
+        """The level sigma + 1 of the region the guard's max|U_h| spans."""
+        return self.sigma + _GUARD_MARGIN
 
 
 def halved_dt(cfg: SimulationConfig) -> SimulationConfig:
@@ -193,10 +181,8 @@ def make_config(
     *,
     start_well: LabelledWell,
     radius: float = 0.3,
-    dt: float | None = None,
     trials: int = 2000,
     seed: int = 0,
-    max_time: float = 10_000.0,
 ) -> SimulationConfig:
     """Config for the hitting run m -> ball(global minimum, radius).
 
@@ -222,11 +208,11 @@ def make_config(
             f"target ball of radius {radius} reaches V = {vmax:.4f} >= "
             f"sigma = {start_well.sigma:.4f}; shrink the radius"
         )
-    return SimulationConfig(land=land, h=h, dt=dt, trials=trials,
-                            seed=seed, start=start_well.minimum.point.copy(),
+    return SimulationConfig(land=land, h=h, trials=trials, seed=seed,
+                            start=start_well.minimum.point.copy(),
                             target_center=center.copy(),
                             target_radius=float(radius),
-                            sigma=start_well.sigma, max_time=max_time)
+                            sigma=start_well.sigma)
 
 
 def mean_first_passage(cfg: SimulationConfig, op: OperatorMatrix) -> float:

@@ -256,11 +256,29 @@ def test_flood_component_and_guards():
     with pytest.raises(ValueError):
         SublevelTopology(land, resolution=8)
     # a saddle far stiffer across its descent ray than along it: the nodes
-    # nearest the ray sit above V(s) - eps
-    narrow = Landscape(V=ex.parse("0.01*(x^2-1)^2 + 50*y^2", 2),
-                       b=(ex.constant(0.0), ex.constant(0.0)),
-                       nu=(ex.constant(0.0), ex.constant(0.0)),
-                       halfwidth=2.0)
-    with pytest.raises(LabellingError, match="grid too coarse"):
-        separating_saddles(find_critical_points(narrow),
-                           SublevelTopology(narrow))
+    # nearest the ray sit above V(s) - eps in the saddle's quadratic model
+    # too, at every box size, so the refusal does not advise a smaller box
+    for box in (2.0, 1.2):
+        narrow = Landscape(V=ex.parse("0.01*(x^2-1)^2 + 50*y^2", 2),
+                           b=(ex.constant(0.0), ex.constant(0.0)),
+                           nu=(ex.constant(0.0), ex.constant(0.0)),
+                           halfwidth=box)
+        with pytest.raises(LabellingError, match="grid too coarse") as info:
+            separating_saddles(find_critical_points(narrow),
+                               SublevelTopology(narrow))
+        msg = str(info.value)
+        assert "Hessian eigenvalues -0.04 and 100" in msg
+        assert "above it too" in msg
+        assert "no box size resolves this saddle" in msg
+        assert "shrink the box" not in msg
+    # a valley that bends off the descent ray: the quadratic model puts the
+    # node below V(s) - eps, so only higher-order terms cause the miss
+    bent = Landscape(V=ex.parse("(x^2-1)^2 + 40*(y + x^2)^2", 2),
+                     b=(ex.constant(0.0), ex.constant(0.0)),
+                     nu=(ex.constant(0.0), ex.constant(0.0)),
+                     halfwidth=2.0)
+    with pytest.raises(LabellingError, match="grid too coarse") as info:
+        separating_saddles(find_critical_points(bent), SublevelTopology(bent))
+    assert "Hessian eigenvalues -4 and 80" in str(info.value)
+    assert str(info.value).endswith("higher-order terms cause the miss; "
+                                    "shrink the box")

@@ -51,7 +51,7 @@ def test_config_rejects_bad_parameters(tilted_c0):
     assert guard_ok.dt > 0
 
     with pytest.raises(SdeError, match="guard"):
-        make_config(land, wm, 0.2, start_well=start, dt=10 * guard_ok.dt)
+        dataclasses.replace(guard_ok, dt=10 * guard_ok.dt)
     with pytest.raises(SdeError, match="h must"):
         make_config(land, wm, 1.5, start_well=start)
     with pytest.raises(SdeError, match="trial"):
@@ -137,7 +137,7 @@ def test_drift_table_blocks_match_one_shot_evaluation(fixture, request):
 def test_a_config_holds_no_drift_table(tilted_c0, monkeypatch):
     cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.25,
                       start_well=tilted_c0.shallow_well, trials=12, seed=7)
-    held = [*vars(cfg).values(), *cfg.guard]
+    held = vars(cfg).values()
     assert max(v.size for v in held if isinstance(v, np.ndarray)) == 2
     # the shard builds its own table, dt-scaled: _drift_table's
     built = []
@@ -225,28 +225,20 @@ def test_box_guard_step_reproduces_the_earlier_golden_run(tilted_c0):
         == BOX_GUARD_TAUS_SHA256
 
 
-def test_derived_configs_reuse_the_drift_table(tilted_c0, monkeypatch):
-    # the config keeps the guard's max|U_h| over the table, not the table
-    builds = []
-    peak = sde._guard_peak
-
-    def counted(*args):
-        builds.append(args)
-        return peak(*args)
-
-    monkeypatch.setattr(sde, "_guard_peak", counted)
-    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
+def test_derived_configs_compute_their_own_guard(tilted_c0):
+    land = tilted_c0.land
+    cfg = make_config(land, tilted_c0.wm, 0.2,
                       start_well=tilted_c0.shallow_well, trials=10)
-    half = halved_dt(cfg)
-    reseeded = dataclasses.replace(cfg, seed=5)
-    assert len(builds) == 1
-    assert half.guard is reseeded.guard is cfg.guard
-    # a different h or sigma needs a guard of its own
-    other_h = dataclasses.replace(cfg, h=0.25, dt=None)
-    other_sigma = dataclasses.replace(cfg, sigma=cfg.sigma + 0.5, dt=None)
-    assert len(builds) == 3
-    assert other_h.guard.h == 0.25
-    assert other_sigma.guard.level == pytest.approx(cfg.guard.level + 0.5)
+    derived = [halved_dt(cfg), dataclasses.replace(cfg, seed=5),
+               dataclasses.replace(cfg, h=0.25, dt=None),
+               dataclasses.replace(cfg, sigma=cfg.sigma + 0.5, dt=None)]
+    for d, h in zip(derived, [0.2, 0.2, 0.25, 0.2]):
+        level = d.sigma + 1.0
+        assert (d.h, d.guard_level) == (h, level)
+        assert d.max_drift == sde._guard_peak(land, h, level)
+    # the dt-halved twin keeps the quantum dt/substeps under its own guard
+    half = derived[0]
+    assert half.dt / half.substeps == cfg.dt / cfg.substeps
 
 
 def _reflecting_box() -> SimulationConfig:
@@ -382,9 +374,10 @@ def test_path_does_not_depend_on_the_phase_that_steps_it(case, tilted_c0,
 
 def test_max_time_cap_raises(tilted_c0, monkeypatch):
     monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
-    cfg = make_config(tilted_c0.land, tilted_c0.wm, 0.2,
-                      start_well=tilted_c0.shallow_well, trials=4,
-                      max_time=0.05)
+    cfg = dataclasses.replace(
+        make_config(tilted_c0.land, tilted_c0.wm, 0.2,
+                    start_well=tilted_c0.shallow_well, trials=4),
+        max_time=0.05)
     # no trial hits within 0.05 (25 steps of 1.9e-3); one hits at 0.90,
     # inside the first 512-step chunk, and still counts as unfinished
     for chunk in (16, 512):
