@@ -47,9 +47,10 @@ Every run writes run_manifest.json (config, versions, stage outcomes
 with their wall times, the analyze stage's genericity report per c:
 whether the well map meets the paper's generic assumption, and its
 violations; and per-cell diagnostics of the spectrum stage: cluster
-size, threshold, gap witness, kernel defect; and of the sde stage: dt,
-the guard, trial-steps, shards); data files are CSV with a fixed number
-format, so identical config + seed reproduce byte-identical bodies.
+size, threshold, gap witness, kernel defect, mesh Peclet number; and of
+the sde stage: dt, the guard, trial-steps, shards); data files are CSV
+with a fixed number format, so identical config + seed reproduce
+byte-identical bodies.
 Exit codes: 0 all stage assertions passed, 1 a stage failed (a refused
 landscape included: one the box cannot evaluate, or one whose saddle the
 labelling grid is too coarse to resolve), 2 config/usage error (an
@@ -394,6 +395,7 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
                 "h": h, "c": c, "n0_observed": res.n0_observed,
                 "threshold": res.threshold, "gap_witness": res.gap_witness,
                 "kernel_defect": abs(float(re[0])) / float(re[1]),
+                "peclet": ana.operator(h, cfg.grid_n).peclet,
             })
             if res.n0_observed != n0:
                 raise StageFailure(

@@ -1,21 +1,23 @@
 """Finite-difference form of the generator, stored once per (h, grid).
 
 The matrix assembled is the flat form P: the conjugation of h L by the
-ground-state weight e^{-V/2h}, acting on flat L^2.  The Laplacian part is
-the standard 5-point stencil -h^2 Delta; in place of the sampled Witten
-potential |grad V/2|^2 - h Delta V/2 the diagonal carries the
-exponentially fitted sum (h^2/dx^2) sum_e e^{(V_i - V_{i+e})/2h}, which
-agrees with it to O(dx^2) and keeps the scheme positivity-structured at
-any mesh Peclet number in grad V; the drift contributes
-h b_h . (centered difference) plus the zeroth-order term b_h . grad V / 2
-evaluated symbolically.
+ground-state weight e^{-V/2h}, acting on flat L^2.  An edge ab of the
+5-point stencil has P_ab = -k_ab + h F_ab / 2dx^2.  F_ab is the drift's
+flux int b_h . e_ab e^{(Vbar_ab - V)/h} ds through the edge's dual face
+(Vbar_ab: the mean of V at a and b; 4-point Gauss-Legendre), and
+k_ab = max(h^2/dx^2, h |F_ab| / 2dx^2) its conductance.  The diagonal is
+the exponentially fitted sum_b k_ab e^{(V_a - V_b)/2h}, which stands in
+for the Witten potential |grad V/2|^2 - h Delta V/2 to O(dx^2).  As
+div(b_h e^{-V/h}) = 0, a dual cell's fluxes cancel, so P annihilates
+e^{-V/2h} up to quadrature error.  Every off-diagonal is nonpositive at
+any mesh Peclet number |F_ab| / 2h, which is reported, not refused.
 
 The weighted generator -h Delta + grad V . grad + b_h . grad on
 L^2(m_h) is derived from P on each use by the exact entrywise similarity
-L_ij = P_ij e^{(V_i - V_j)/2h} / h.  Spectra therefore satisfy
-eig(P) = h eig(L) to machine precision, and for the preset drifts the
-weighted drift part is exactly antisymmetric, so Re<Lu, u>_w equals the
-(nonnegative) discrete Dirichlet form.
+L_ij = P_ij e^{(V_i - V_j)/2h} / h, so eig(P) = h eig(L) to machine
+precision.  F is antisymmetric and k even in b_h, so the weighted adjoint
+of L is exactly the generator with b_h reversed, and Re<Lu, u>_w equals
+the (nonnegative) discrete Dirichlet form.
 
 The walls carry homogeneous Dirichlet data; the truncation error is
 exponentially small because e^{-V/2h} is negligible there.  P keeps
@@ -106,6 +108,7 @@ class OperatorMatrix:
     grid: Grid
     weights: np.ndarray          # m_h node weights: sum w_i dx^2 = 1
     V_nodes: np.ndarray
+    peclet: float                # max |F_ab| / 2h over the drift fluxes
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -136,44 +139,37 @@ def remove_weighted_mean(op: OperatorMatrix, u) -> np.ndarray:
     return u - (op.inner(ones, u) / op.inner(ones, ones)) * ones
 
 
-def _peclet_guard(land: Landscape, h: float, grid: Grid, V, pts, criticals):
-    """Refuse when the centered-differenced drift is under-resolved.
+# faces per block of edge rows: the Gauss points of all faces at once would
+# set the process's peak memory
+_FACE_ROWS = 32
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
-    Only b_h is discretized by centered differences (the grad V transport
-    sits in the fitted exponential weights), so the mesh Peclet number
-    dx |b_h| / 2h is checked over the metastability region
-    {V <= sigma_max + margin}; the potential far above every saddle only
-    feeds the positive fitted diagonal.  |b_h| is sampled at the nodes, so
-    a finer grid can see a larger peak: the suggested n is refined until
-    this same check accepts it.
-    """
-    values = [c.value for c in criticals]
-    saddle_vals = [c.value for c in criticals if c.is_saddle]
-    sigma_max = max(saddle_vals) if saddle_vals else max(values)
-    top = sigma_max + 0.25 * max(sigma_max - min(values), 1.0)
 
-    def peclet(g: Grid, nodes, V_nodes) -> float:
-        bh = land.b_h_at(nodes[V_nodes <= top], h)
-        peak = float(np.max(np.linalg.norm(bh, axis=1), initial=0.0))
-        return g.spacing * peak / (2.0 * h)
-
-    pe = pe_need = peclet(grid, pts, V)
-    need = grid.n
-    while pe_need > 1.0:
-        need = int(math.ceil((need - 1) * pe_need)) + 1
-        probe = Grid(grid.halfwidth, need)
-        nodes = probe.points()
-        pe_need = peclet(probe, nodes, land.V_at(nodes))
-    if need > grid.n:
-        # imported here: only a refusal needs it
-        from decimal import ROUND_CEILING, Decimal
-
-        # rounded up, so a refused grid never reads 1.00
-        shown = Decimal(pe).quantize(Decimal("0.01"), rounding=ROUND_CEILING)
-        raise DiscretizationError(
-            f"mesh Peclet number {shown} > 1 for the drift term; "
-            f"refine the grid to n >= {need} or increase h"
-        )
+def _face_fluxes(land: Landscape, h: float, grid: Grid, V):
+    """F_ab from each node a = (i, j) to b = a + e_x and b = a + e_y, as
+    (n-1, n) and (n, n-1) arrays; between two wall nodes it stays zero."""
+    n, dx = grid.n, grid.spacing
+    axis = grid.axis
+    across = axis[1:-1, None] + 0.5 * dx * _GAUSS_NODES     # (n-2, 4)
+    fluxes = []
+    for a in (0, 1):
+        # edge-aligned: row k is the edge from node k to k + 1 along e_a,
+        # column l the grid line across it
+        Va = V.reshape(n, n) if a == 0 else V.reshape(n, n).T
+        Vbar = 0.5 * (Va[:-1, 1:-1] + Va[1:, 1:-1])
+        F = np.zeros((n - 1, n))
+        for k in range(0, n - 1, _FACE_ROWS):
+            rows = slice(k, min(k + _FACE_ROWS, n - 1))
+            U, W = np.broadcast_arrays(axis[rows, None, None] + 0.5 * dx,
+                                       across)
+            pts = np.stack((U, W) if a == 0 else (W, U), -1).reshape(-1, 2)
+            bh = (land.evaluate(land.b[a], pts)
+                  + h * land.evaluate(land.nu[a], pts)).reshape(U.shape)
+            e = np.exp((Vbar[rows, :, None]
+                        - land.V_at(pts).reshape(U.shape)) / h)
+            F[rows, 1:-1] = 0.5 * dx * (bh * e * _GAUSS_WEIGHTS).sum(axis=-1)
+        fluxes.append(F if a == 0 else F.T)
+    return fluxes
 
 
 def assemble(land: Landscape, h: float, grid: Grid,
@@ -196,32 +192,29 @@ def assemble(land: Landscape, h: float, grid: Grid,
             )
 
     n, N = grid.n, grid.size
-    pts = grid.points()
-    V = land.V_at(pts)
-    _peclet_guard(land, h, grid, V, pts, criticals)
+    V = land.V_at(grid.points())
+    Fx, Fy = _face_fluxes(land, h, grid, V)
 
     interior = ~grid.boundary_mask()
     idx = np.flatnonzero(interior)
-    bh = land.b_h_at(pts[idx], h)
+    i, j = np.divmod(idx, n)
 
     diag = np.zeros(N)
     diag[~interior] = 1.0                       # Dirichlet rows
     rows, cols, pvals = [], [], []
-    for off, axis, sign in ((n, 0, +1), (-n, 0, -1), (1, 1, +1), (-1, 1, -1)):
+    for off, F in ((n, Fx[i, j]), (-n, -Fx[i - 1, j]),
+                   (1, Fy[i, j]), (-1, -Fy[i, j - 1])):
         nb = idx + off
         efac = np.exp((V[idx] - V[nb]) / (2.0 * h))
-        diag[idx] += (h * h / dx**2) * efac
+        # the fitted conductance, raised where the drift flux beats it
+        k = np.maximum(h * h / dx**2, h * np.abs(F) / (2.0 * dx**2))
+        diag[idx] += k * efac
         # homogeneous Dirichlet: couplings into boundary columns are
         # eliminated, the fitted diagonal term stays
         keep = interior[nb]
         rows.append(idx[keep])
         cols.append(nb[keep])
-        pvals.append(-h * h / dx**2
-                     + sign * h * bh[keep, axis] / (2.0 * dx))
-    # zeroth-order drift term b_h . grad phi = (b + h nu) . grad V / 2
-    zo = (0.5 * land.evaluate(land.b_dot_grad_V, pts[idx])
-          + 0.5 * h * land.evaluate(land.nu_dot_grad_V, pts[idx]))
-    diag[idx] += zo
+        pvals.append(-k[keep] + h * F[keep] / (2.0 * dx**2))
 
     P = sp.coo_matrix(
         (np.concatenate(pvals + [diag]),
@@ -232,7 +225,9 @@ def assemble(land: Landscape, h: float, grid: Grid,
 
     w = np.exp(-(V - V.min()) / h)
     w /= w.sum() * dx**2
-    return OperatorMatrix(flat=P, h=h, grid=grid, weights=w, V_nodes=V)
+    peclet = max(np.abs(Fx).max(), np.abs(Fy).max()) / (2.0 * h)
+    return OperatorMatrix(flat=P, h=h, grid=grid, weights=w, V_nodes=V,
+                          peclet=float(peclet))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +311,9 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
         t = np.log(mag + 1e-300) + op.V_nodes[free, None] / (2.0 * op.h)
         u = np.zeros((op.grid.size, vals.size), dtype=x.dtype)
         u[free] = x / (mag + 1e-300) * np.exp(t - t.max(axis=0))
-        norms = np.sqrt(op.weights @ np.abs(u) ** 2 * op.quadrature)
+        # not a gemv: its rounding depends on the column's position
+        norms = np.sqrt((op.weights[:, None] * np.abs(u) ** 2).sum(axis=0)
+                        * op.quadrature)
         vecs = u / np.maximum(norms, 1e-300)
 
     re = vals.real

@@ -217,6 +217,8 @@ def test_spectrum_sweep_rows(tilted_run):
     assert float(k1[3]) < cell["threshold"] < cell["gap_witness"]
     assert cell["kernel_defect"] == pytest.approx(
         abs(float(k0[3])) / float(k1[3]), rel=1e-9)
+    # no drift, so no drift flux crosses a face
+    assert cell["peclet"] == 0.0
 
 
 def test_quasimode_report_and_field_export(tilted_run):
@@ -618,21 +620,22 @@ def test_unexpected_error_keeps_its_traceback(tmp_path, monkeypatch):
                                       ("sde", [1.0])],
                          ids=["spectrum", "quasimode", "sde"])
 def test_refused_grid_fails_its_stage(stage, c, tmp_path, capsys):
-    # c = 1 at h = 0.2 needs n >= 89 for the mesh Peclet guard
+    # at n = 16 the grid step is 0.27, so the minimum at x = -1.06 lies
+    # within 4 steps of the wall at -2
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path,
                      landscape={"preset": "tilted_double_well"},
-                     c=c, h=[0.2], grid={"n": 64},
+                     c=c, h=[0.2], grid={"n": 16},
                      stages=["analyze", stage],
                      out=str(out))
     assert main(["run", str(cfg)]) == 1
-    assert "n >= 89" in capsys.readouterr().err
+    assert "enlarge the box" in capsys.readouterr().err
     man = json.loads((out / "run_manifest.json").read_text())
     analyze, failed = man["stages"]
     assert analyze["status"] == "passed"
     assert failed["status"] == "failed"
-    assert failed["message"].startswith(f"{stage}: mesh Peclet number")
-    assert "n >= 89" in failed["message"]
+    assert failed["message"].startswith(f"{stage}: critical point at")
+    assert "within 4 grid steps of the boundary" in failed["message"]
     assert "traceback" not in failed
     assert multiprocessing.active_children() == []
 
