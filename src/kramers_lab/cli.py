@@ -47,8 +47,9 @@ Every run writes run_manifest.json (config, versions, stage outcomes
 with their wall times, the analyze stage's genericity report per c:
 whether the well map meets the paper's generic assumption, and its
 violations; and per-cell diagnostics of the spectrum stage: cluster
-size, threshold, gap witness, kernel defect, mesh Peclet number; and of
-the sde stage: dt, the guard, trial-steps, shards); data files are CSV
+size, threshold, gap witness, kernel defect, mesh Peclet number; of the
+quasimode stage: the cutoff scales rho0 and delta0 of each (c, well);
+and of the sde stage: dt, the guard, trial-steps, shards); data files are CSV
 with a fixed number format, so identical config + seed reproduce
 byte-identical bodies.
 Exit codes: 0 all stage assertions passed, 1 a stage failed (a refused
@@ -422,6 +423,7 @@ def _stage_spectrum(ctx: _Context) -> list[str]:
 def _stage_quasimode(ctx: _Context) -> list[str]:
     cfg = ctx.cfg
     rows, artifacts = [], []
+    cells = ctx.diagnostics["quasimode"] = []
     for c in cfg.c:
         ana = ctx.analysis(c)
         land, wm, data = ana.land, ana.wm, ana.data
@@ -433,7 +435,9 @@ def _stage_quasimode(ctx: _Context) -> list[str]:
             except GeometryError as e:
                 raise StageFailure(
                     "quasimode: no admissible cutoff geometry for the well "
-                    f"at {well.minimum.point} after 3 bisections: {e}") from e
+                    f"at {well.minimum.point}: {e}") from e
+            cells.append({"c": c, "well": well.round_index,
+                          "rho0": geom.rho0, "delta0": geom.delta0})
             for h in cfg.h:
                 qm = build_quasimode(well, geom, ana.operator(h, cfg.grid_n))
                 forms = dirichlet_and_residuals(qm)

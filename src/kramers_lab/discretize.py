@@ -251,7 +251,6 @@ def _factor_free(op: OperatorMatrix, free: np.ndarray, shift: float):
 
 
 def small_spectrum(op: OperatorMatrix, count: int = 6,
-                   threshold: float | None = None,
                    vectors: bool = False) -> SpectrumResult:
     """Eigenvalues of smallest real part of the weighted generator, by
     shift-invert around zero.
@@ -271,8 +270,8 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
     ``count`` or ``count + 1`` values come back.
 
     The metastable cluster is split from the rest at the largest jump in
-    the sorted real parts when no explicit ``threshold`` is given; the
-    first excluded real part is reported as the gap witness.
+    the sorted real parts; the first excluded real part is reported as
+    the gap witness.
     """
     if count > 20:
         raise ValueError("small-spectrum counts above 20 are not supported")
@@ -317,10 +316,8 @@ def small_spectrum(op: OperatorMatrix, count: int = 6,
         vecs = u / np.maximum(norms, 1e-300)
 
     re = vals.real
-    if threshold is None:
-        jumps = np.diff(re)
-        k = int(np.argmax(jumps))
-        threshold = 0.5 * (re[k] + re[k + 1])
+    k = int(np.argmax(np.diff(re)))
+    threshold = 0.5 * (re[k] + re[k + 1])
     n0 = int(np.sum(re < threshold))
     excluded = re[re >= threshold]
     witness = float(excluded.min()) if excluded.size else None

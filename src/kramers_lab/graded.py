@@ -214,20 +214,21 @@ def _refine_once(M, structure: GradedStructure, j: int, lams: list) -> list:
     return (eps2[j - 1] * w[np.arange(len(lams)), nearest]).tolist()
 
 
-def spectrum_by_peeling(M, structure: GradedStructure, sweeps: int = 3) -> list:
+REFINE_SWEEPS = 3   # fixed-point sweeps after the plain Schur recursion
+
+
+def spectrum_by_peeling(M, structure: GradedStructure) -> list:
     """Per-block eigenvalue arrays (raw scale) via recursive peeling.
 
-    With ``sweeps`` = 0 this is the plain Schur recursion, accurate to
-    O(eps_j^2 tau^2 h^2); each refinement sweep folds the current estimate
-    back into the complements and converges to the dense spectrum.
+    The plain Schur recursion (``_plain_cluster_estimates``) is accurate to
+    O(eps_j^2 tau^2 h^2); each of the REFINE_SWEEPS refinement sweeps
+    folds the current estimate back into the complements and converges to
+    the dense spectrum.
     """
-    estimates = _plain_cluster_estimates(M, structure)
-    if sweeps <= 0:
-        return estimates
     out = []
-    for j, lams in enumerate(estimates, start=1):
+    for j, lams in enumerate(_plain_cluster_estimates(M, structure), start=1):
         cur = np.asarray(lams, dtype=complex).tolist()
-        for _ in range(sweeps):
+        for _ in range(REFINE_SWEEPS):
             cur = _refine_once(M, structure, j, cur)
         out.append(np.array(cur))
     return out

@@ -42,7 +42,8 @@ class QuasimodeError(ValueError):
 
 
 class GeometryError(QuasimodeError):
-    """Cutoff sets do not split as required; retry with smaller rho0/delta0."""
+    """The box leaves no room above the saddle, or the cutoff sets do not
+    split as required; refine the grid or enlarge the box."""
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +94,28 @@ class CutoffGeometry:
     V_nodes: np.ndarray
 
 
-def default_parameters(well: LabelledWell, wm: WellMap) -> tuple[float, float]:
-    """(rho0, delta0) at 'sufficiently small' scales for this well.
+def cutoff_scales(well: LabelledWell, wm: WellMap) -> tuple[float, float]:
+    """(rho0, delta0) for the cutoff geometry of a non-global well.
 
-    delta0 keeps the three V-level shells below every neighbouring critical
-    value; rho0 keeps the tube slab short of the nearest other critical
-    point.  Both are validated constructively by the two-component check.
+    rho0 is 0.15 times the distance from a saddle of j(m) to the nearest
+    other critical point, keeping the tube slab short of it.  delta0 is
+    min((V_wall - sigma)/2, (sigma_prev - sigma)/3), V_wall the least
+    value of V on the labelling grid's boundary (the sigma_prev term only
+    where sigma_prev is finite): theta's support {V < sigma + 2 delta0}
+    stays inside the box and the three shells {V < sigma + 3 delta0} stay
+    below the next labelled level.  Walls at or below sigma leave no room
+    (GeometryError).
     """
-    room = [well.barrier, well.sigma - well.hat_minimum.value]
+    topo = wm.topo
+    v_wall = float(topo.values.ravel()[topo.grid.boundary_mask()].min())
+    if v_wall <= well.sigma:
+        raise GeometryError(
+            f"the box's walls reach down to V = {v_wall:.6g}, not above the "
+            f"saddle value sigma = {well.sigma:.6g}; enlarge the box")
+    room = [0.5 * (v_wall - well.sigma)]
     if math.isfinite(well.prev_sigma):
-        room.append(well.prev_sigma - well.sigma)
-    delta0 = 0.2 * min(room)
+        room.append((well.prev_sigma - well.sigma) / 3.0)
+    delta0 = min(room)
     crits = {id(w.minimum): w.minimum for w in wm.wells}
     for w in wm.wells:
         for s in w.saddles:
@@ -123,27 +135,22 @@ def build_cutoffs(
     data: Mapping[int, SaddleSpectralData],
     land: Landscape,
     grid: Grid,
-    rho0: float | None = None,
-    delta0: float | None = None,
 ) -> CutoffGeometry:
     """Tube and plateau node sets for the quasimode of a non-global well.
 
-    Give both rho0 and delta0, or neither: then both start from
-    ``default_parameters`` and are halved up to three times while the
-    sets do not split (GeometryError); the fourth try's error propagates.
+    The scales start from ``cutoff_scales`` and are halved up to three
+    times while the sets do not split (GeometryError); the fourth try's
+    error propagates.
     """
     if well.is_global:
         raise ValueError("the global minimum needs no cutoff geometry")
-    if (rho0 is None) != (delta0 is None):
-        raise ValueError("give both rho0 and delta0, or neither")
-    if rho0 is None:
-        rho0, delta0 = default_parameters(well, wm)
-        for _ in range(3):
-            try:
-                return _cutoffs(well, data, land, grid, rho0, delta0)
-            except GeometryError:
-                rho0 *= 0.5
-                delta0 *= 0.5
+    rho0, delta0 = cutoff_scales(well, wm)
+    for _ in range(3):
+        try:
+            return _cutoffs(well, data, land, grid, rho0, delta0)
+        except GeometryError:
+            rho0 *= 0.5
+            delta0 *= 0.5
     return _cutoffs(well, data, land, grid, rho0, delta0)
 
 
@@ -183,8 +190,8 @@ def _cutoffs(well, data, land, grid, rho0, delta0) -> CutoffGeometry:
     for i, tb in enumerate(tubes):
         if np.any(tube_union & tb.mask):
             raise GeometryError(
-                "saddle tubes overlap; decrease rho0/delta0 (a bisection "
-                "retry with halved parameters is suggested)"
+                f"saddle tubes overlap at rho0 {rho0:.4g}, delta0 "
+                f"{delta0:.4g}; refine the grid or enlarge the box"
             )
         tube_union |= tb.mask
 
@@ -196,9 +203,9 @@ def _cutoffs(well, data, land, grid, rho0, delta0) -> CutoffGeometry:
     if ncomp != 2 or lab_m == 0 or lab_hat == 0 or lab_m == lab_hat:
         raise GeometryError(
             f"removing the saddle tubes left {ncomp} components instead of "
-            "two separating the minimum from its hat partner; rho0/delta0 "
-            "too large or grid too coarse (bisection retry with halved "
-            "parameters is suggested)"
+            "two separating the minimum from its hat partner at rho0 "
+            f"{rho0:.4g}, delta0 {delta0:.4g}; refine the grid or enlarge "
+            "the box"
         )
     e_plus = labels == lab_m
     e_minus = labels == lab_hat
@@ -377,13 +384,13 @@ def interaction_matrix(quasimodes: Sequence[Quasimode]) -> InteractionResult:
                 continue
             if a.well.sigma == b.well.sigma:
                 raise QuasimodeError(
-                    "supports of equal-level quasimodes overlap; decrease "
-                    "rho0/delta0"
+                    "supports of equal-level quasimodes overlap; refine the "
+                    "grid or enlarge the box"
                 )
             if np.max(np.abs(a.values[b.support] - 2.0)) > 1e-9:
                 raise QuasimodeError(
                     "nested quasimode is not constant across the inner "
-                    "support; decrease rho0/delta0"
+                    "support; refine the grid or enlarge the box"
                 )
     phis = [qm.phi for qm in quasimodes]
     L = op.matrix

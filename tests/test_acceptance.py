@@ -229,12 +229,10 @@ def test_04_small_eigenvalue_counting(sym_double, triple):
 
 @pytest.fixture(scope="module")
 def tilted_geom(tilted_c0):
-    # same cutoff scales as the quasimode module tests: the level-set shell
-    # of the bump must sit far enough above the saddle for the Laplace
-    # asymptotics to dominate down to h = 0.2
+    # the geometry the CLI's quasimode stage builds
     grid = Grid(halfwidth=tilted_c0.land.halfwidth, n=192)
     return build_cutoffs(tilted_c0.shallow_well, tilted_c0.wm, tilted_c0.data,
-                         tilted_c0.land, grid, rho0=0.12, delta0=1.1)
+                         tilted_c0.land, grid)
 
 
 def test_05_quasimode_forms(tilted_geom, tilted_c0, triple):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kramers_lab import analysis, cli, forked, graded, sde
+from kramers_lab import analysis, cli, forked, graded, quasimode, sde
 from kramers_lab.analysis import Analysis
 from kramers_lab.cli import ConfigError, main, parse_config
 from kramers_lab.labelling import WellMap
@@ -227,6 +227,10 @@ def test_quasimode_report_and_field_export(tilted_run):
     assert len(rows) == 1  # one non-global well, one h
     row = dict(zip(header, rows[0]))
     assert float(row["norm_ratio"]) == pytest.approx(1.02, abs=0.05)
+    # acceptance check 5's band at h = 0.2
+    h = float(row["h"])
+    assert 1.0 / (1.0 + 10.0 * h) <= float(row["dirichlet_ratio"]) \
+        <= 1.0 + 10.0 * h
     assert float(row["residual_sq"]) > 0
 
     grid_files = list(tilted_run.glob("psi_grid_*.csv"))
@@ -245,6 +249,14 @@ def test_manifest_records_stages_and_versions(tilted_run):
     assert all(s["wall_s"] > 0 for s in man["stages"])
     assert man["versions"]["kramers_lab"]
     assert man["config"]["grid"]["n"] == 96
+
+
+def test_manifest_records_cutoff_scales(tilted_run, tilted_c0):
+    man = json.loads((tilted_run / "run_manifest.json").read_text())
+    (cell,) = man["diagnostics"]["quasimode"]
+    rho0, delta0 = quasimode.cutoff_scales(tilted_c0.shallow_well,
+                                           tilted_c0.wm)
+    assert cell == {"c": 0.0, "well": 2, "rho0": rho0, "delta0": delta0}
 
 
 def test_sde_stage_report(tmp_path, monkeypatch):
@@ -638,6 +650,28 @@ def test_refused_grid_fails_its_stage(stage, c, tmp_path, capsys):
     assert "within 4 grid steps of the boundary" in failed["message"]
     assert "traceback" not in failed
     assert multiprocessing.active_children() == []
+
+
+def test_walls_below_the_saddle_fail_the_quasimode_stage(tmp_path, capsys):
+    # on the box [-1.2, 1.2]^2 the walls x = +-1.2 reach down to
+    # V = 0.1936, below the saddle value 1: no cutoff shell fits inside
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path,
+                     landscape={"dimension": 2, "V": "(x^2-1)^2 + y^2",
+                                "box": 1.2},
+                     h=[0.2], stages=["analyze", "quasimode"], out=str(out))
+    assert main(["run", str(cfg)]) == 1
+    assert "enlarge the box" in capsys.readouterr().err
+    man = json.loads((out / "run_manifest.json").read_text())
+    analyze, failed = man["stages"]
+    assert analyze["status"] == "passed"
+    assert failed["status"] == "failed"
+    assert failed["message"].startswith(
+        "quasimode: no admissible cutoff geometry")
+    assert "walls reach down to V = 0.193622" in failed["message"]
+    assert "sigma = 1;" in failed["message"]
+    assert "bisection" not in failed["message"]
+    assert "traceback" not in failed
 
 
 @pytest.mark.parametrize("landscape, words", [

@@ -268,15 +268,6 @@ def test_fine_grid_kernel_with_drift(tilted_c1):
     assert abs(re[1] / ek - 1.0) <= 0.03      # 0.98580
 
 
-def test_explicit_threshold_overrides_calibration():
-    land = make_preset("tilted_double_well")
-    op = assemble(land, 0.15, Grid(2.0, 96))
-    s = small_spectrum(op, 6, threshold=0.5)
-    assert s.n0_observed == 2
-    assert s.threshold == 0.5
-    assert s.gap_witness == pytest.approx(1.994, abs=0.05)
-
-
 def test_grid_convergence_of_lambda2():
     land = make_preset("tilted_double_well")
     lam = []

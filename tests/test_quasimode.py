@@ -1,9 +1,13 @@
 """Quasimode construction and Laplace-asymptotic checks.
 
-The tilted double well at 192^2 with rho0=0.12, delta0=1.1 is the main
-workbench: those cutoff scales push the level-set shell of the theta bump
-far enough above the saddle that the saddle profile dominates every
-weighted form down to h = 0.2 (the shell competes like e^{-3 delta0/2h}).
+The tilted double well at 192^2 is the main workbench, on the cutoff
+geometry the CLI's quasimode stage builds: ``build_cutoffs`` takes its
+scales from ``cutoff_scales``.  There delta0 is half the room between the
+saddle value and the lowest wall value (1.23), which puts the level-set
+shell of the theta bump far enough above the saddle that the saddle
+profile dominates every weighted form down to h = 0.2 (the shell competes
+like e^{-3 delta0/2h}).  Tests that need other scales to provoke a
+GeometryError call ``quasimode._cutoffs``.
 """
 
 import math
@@ -21,14 +25,13 @@ from kramers_lab.quasimode import (
     build_cutoffs,
     build_quasimode,
     constant_quasimode,
-    default_parameters,
+    cutoff_scales,
     dirichlet_and_residuals,
     interaction_matrix,
     plateau_bump,
     smoothstep,
 )
 
-RHO0, DELTA0 = 0.12, 1.1
 N = 192
 
 
@@ -37,7 +40,7 @@ def tilted_geom(tilted_c0):
     grid = Grid(halfwidth=tilted_c0.land.halfwidth, n=N)
     well = tilted_c0.shallow_well
     return build_cutoffs(well, tilted_c0.wm, tilted_c0.data, tilted_c0.land,
-                         grid, rho0=RHO0, delta0=DELTA0)
+                         grid)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +48,7 @@ def tilted_geom_c1(tilted_c1):
     grid = Grid(halfwidth=tilted_c1.land.halfwidth, n=N)
     well = tilted_c1.shallow_well
     return build_cutoffs(well, tilted_c1.wm, tilted_c1.data, tilted_c1.land,
-                         grid, rho0=RHO0, delta0=DELTA0)
+                         grid)
 
 
 def _triple_quasimodes(triple, h):
@@ -79,11 +82,11 @@ def test_smoothstep_and_bump_shapes():
 # cutoff geometry
 
 def test_two_components_and_membership(tilted_c0):
-    # spec-scale parameters: the split set separates shallow from deep side
+    # the split set separates shallow from deep side
     grid = Grid(halfwidth=2.0, n=96)
     well = tilted_c0.shallow_well
     geom = build_cutoffs(well, tilted_c0.wm, tilted_c0.data, tilted_c0.land,
-                         grid, rho0=0.1, delta0=0.1)
+                         grid)
     assert geom.e_plus[grid.node_of(well.minimum.point)]
     assert geom.e_minus[grid.node_of(well.hat_minimum.point)]
     assert well.minimum.value > well.hat_minimum.value  # E+ holds shallow min
@@ -103,34 +106,52 @@ def test_membership_stable_under_grid_refinement(tilted_c0):
 
 def test_absurd_rho0_swallows_a_well(tilted_c0):
     grid = Grid(halfwidth=2.0, n=96)
-    with pytest.raises(GeometryError, match="bisection"):
-        build_cutoffs(tilted_c0.shallow_well, tilted_c0.wm, tilted_c0.data,
-                      tilted_c0.land, grid, rho0=2.0, delta0=0.5)
+    with pytest.raises(GeometryError, match="refine the grid or enlarge"):
+        quasimode._cutoffs(tilted_c0.shallow_well, tilted_c0.data,
+                           tilted_c0.land, grid, 2.0, 0.5)
 
 
 def test_default_geometry_halves_its_parameters_until_it_splits(
         tilted_c0, monkeypatch):
     grid = Grid(halfwidth=2.0, n=96)
-    args = (tilted_c0.shallow_well, tilted_c0.wm, tilted_c0.data,
-            tilted_c0.land, grid)
+    well, wm, data, land = (tilted_c0.shallow_well, tilted_c0.wm,
+                            tilted_c0.data, tilted_c0.land)
     # from (2.0, 0.5) the third try, (0.5, 0.125), still fails, so the
     # fourth is the first to split
     with pytest.raises(GeometryError):
-        build_cutoffs(*args, rho0=0.5, delta0=0.125)
-    direct = build_cutoffs(*args, rho0=0.25, delta0=0.0625)
-    monkeypatch.setattr(quasimode, "default_parameters",
+        quasimode._cutoffs(well, data, land, grid, 0.5, 0.125)
+    direct = quasimode._cutoffs(well, data, land, grid, 0.25, 0.0625)
+    monkeypatch.setattr(quasimode, "cutoff_scales",
                         lambda well, wm: (2.0, 0.5))
-    geom = build_cutoffs(*args)
+    geom = build_cutoffs(well, wm, data, land, grid)
     assert (geom.rho0, geom.delta0) == (0.25, 0.0625)
     assert np.array_equal(geom.e_plus, direct.e_plus)
     assert np.array_equal(geom.e_minus, direct.e_minus)
     # one step further up, the fourth try is (0.5, 0.125): its error is raised
-    monkeypatch.setattr(quasimode, "default_parameters",
+    monkeypatch.setattr(quasimode, "cutoff_scales",
                         lambda well, wm: (4.0, 1.0))
     with pytest.raises(GeometryError):
-        build_cutoffs(*args)
-    with pytest.raises(ValueError, match="both rho0 and delta0, or neither"):
-        build_cutoffs(*args, rho0=0.25)
+        build_cutoffs(well, wm, data, land, grid)
+
+
+@pytest.mark.parametrize("fixture", ["tilted_c0", "triple"])
+def test_cutoff_shells_fit_the_box_and_the_next_level(fixture, request):
+    # theta's support {V < sigma + 2 delta0} stays inside the walls, and
+    # the three shells {V < sigma + 3 delta0} stay below sigma_prev; one
+    # of the two is tight
+    ana = request.getfixturevalue(fixture)
+    topo = ana.wm.topo
+    v_wall = topo.values.ravel()[topo.grid.boundary_mask()].min()
+    for well in ana.wm.wells:
+        if well.is_global:
+            continue
+        _, d0 = cutoff_scales(well, ana.wm)
+        room = [(v_wall - well.sigma) / 2.0,
+                (well.prev_sigma - well.sigma) / 3.0]
+        assert d0 > 0.0
+        assert d0 == min(room)
+        assert well.sigma + 2.0 * d0 <= v_wall
+        assert well.sigma + 3.0 * d0 <= well.prev_sigma
 
 
 def test_misoriented_transverse_vector_rejected(tilted_c0):
@@ -206,7 +227,7 @@ def test_profile_odd_through_saddle(sym_double):
 
 def _saddle_profile_scales(ana):
     well = ana.shallow_well
-    rho0, _ = default_parameters(well, ana.wm)
+    rho0, _ = cutoff_scales(well, ana.wm)
     return rho0, ana.data[id(well.saddles[0])].abs_mu
 
 
@@ -417,7 +438,7 @@ def test_forms_build_the_weighted_matrix_once_per_call(triple,
 def test_equal_level_overlap_rejected(tilted_geom, tilted_c0):
     qm = build_quasimode(tilted_c0.shallow_well, tilted_geom,
                          tilted_c0.operator(0.1, N))
-    with pytest.raises(QuasimodeError, match="decrease"):
+    with pytest.raises(QuasimodeError, match="overlap; refine the grid"):
         interaction_matrix([qm, qm])
 
 
