@@ -10,23 +10,36 @@ assembly or an eigensolve.  ``solve_spectra`` fills the spectrum caches of
 many analyses at once (``spectrum`` asks it for one), the solves fanned
 out by ``forked.starmap``.
 
+The prediction links need NumPy alone.  ``discretize``, and with it
+``scipy.sparse``, is first imported by ``operator`` or ``solve_spectra``,
+both in this process and before any fork: a run that only analyzes never
+loads SciPy's sparse package, and the children ``solve_spectra`` forks
+inherit the solver from their parent.  ``assemble`` and
+``small_spectrum`` are looked up in ``discretize`` on each call, so a
+wrapper installed there is the one called.
+
 The package ``__init__`` does not import this module.  The benchmark's
 tracer (``perfbench/traced_cli.py``) wraps the library functions before it
-imports the CLI, and a module imported earlier would keep the unwrapped
-ones, losing their spans and counts without an error.
+imports the CLI, and a module imported earlier would keep the functions
+this one binds on import (``find_critical_points``, ``label_minima``,
+``transverse_map``, ``predict_spectrum``) unwrapped, losing their spans
+and counts without an error.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from . import forked
-from .discretize import (Grid, OperatorMatrix, SpectrumResult, assemble,
-                         small_spectrum)
+from .grid import Grid
 from .labelling import LabelledWell, SublevelTopology, WellMap, label_minima
 from .landscape import CriticalPoint, Landscape, find_critical_points
 from .saddle import (SaddleSpectralData, WellPrediction, predict_spectrum,
                      transverse_map)
+
+if TYPE_CHECKING:
+    from .discretize import OperatorMatrix, SpectrumResult
 
 
 class Analysis:
@@ -68,6 +81,8 @@ class Analysis:
     def operator(self, h: float, n: int) -> OperatorMatrix:
         """The generator on the n x n grid: its flat form, from which the
         weighted matrix is derived on each use."""
+        from .discretize import assemble
+
         key = (h, n)
         if key not in self._operators:
             grid = Grid(halfwidth=self.land.halfwidth, n=n)
@@ -88,6 +103,8 @@ def solve_spectra(requests) -> None:
     The spectra not yet cached are solved through ``forked.starmap``; the
     operators are assembled in this process.
     """
+    from .discretize import small_spectrum
+
     todo = [(ana, h, n) for ana, h, n in dict.fromkeys(requests)
             if (h, n) not in ana._spectra]
     spectra = forked.starmap(small_spectrum, (

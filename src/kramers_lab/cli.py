@@ -75,7 +75,7 @@ import numpy as np
 
 from . import expr as ex
 from .analysis import Analysis, solve_spectra
-from .discretize import DiscretizationError, Grid
+from .grid import DiscretizationError, Grid
 from .graded import measure_instances
 from .graded import selftest as graded_selftest
 from .labelling import LabellingError

@@ -44,59 +44,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .grid import DiscretizationError, Grid
 from .landscape import Landscape, find_critical_points
-
-
-class DiscretizationError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform tensor grid on [-halfwidth, halfwidth]^2, row-major nodes."""
-
-    halfwidth: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 16:
-            raise DiscretizationError("grid needs at least 16 nodes per axis")
-        if not self.halfwidth > 0:
-            raise DiscretizationError("halfwidth must be positive")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.halfwidth / (self.n - 1)
-
-    @property
-    def axis(self) -> np.ndarray:
-        return np.linspace(-self.halfwidth, self.halfwidth, self.n)
-
-    @property
-    def size(self) -> int:
-        return self.n * self.n
-
-    def points(self) -> np.ndarray:
-        X, Y = np.meshgrid(self.axis, self.axis, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel()], axis=-1)
-
-    def index(self, i: int, j: int) -> int:
-        return i * self.n + j
-
-    def ij_of(self, point) -> tuple[int, int]:
-        """(i, j) of the node nearest to ``point``, clipped to the box."""
-        p = np.asarray(point, dtype=float)
-        ij = np.clip(np.rint((p + self.halfwidth) / self.spacing).astype(int),
-                     0, self.n - 1)
-        return int(ij[0]), int(ij[1])
-
-    def node_of(self, point) -> int:
-        return self.index(*self.ij_of(point))
-
-    def boundary_mask(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=bool)
-        m[0, :] = m[-1, :] = m[:, 0] = m[:, -1] = True
-        return m.ravel()
 
 
 @dataclass(frozen=True)

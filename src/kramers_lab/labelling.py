@@ -11,11 +11,11 @@ previously labelled minimum: the component E(m) is attached to its deepest
 minimum m, to the boundary saddles j(m), to the saddle value sigma(m) and to
 the barrier S(m) = sigma(m) - V(m).
 
-Connectivity is computed on the box's uniform `discretize.Grid` with face
-adjacency (`label_components`: the connected components, found by
-`scipy.sparse.csgraph`, of the graph that joins neighbouring mask nodes);
-levels are only ever probed just below critical values, where the discrete
-topology is stable.  Components that contain no critical minimum (sub-grid
+Connectivity is computed on the box's uniform `grid.Grid` with face
+adjacency (`label_components`: the connected components, found by a NumPy
+union-find, of the graph that joins neighbouring mask nodes); levels are
+only ever probed just below critical values, where the discrete topology
+is stable.  Components that contain no critical minimum (sub-grid
 shards along a level set) are ignored.
 """
 
@@ -27,10 +27,8 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .discretize import Grid
+from .grid import Grid
 from .landscape import CriticalPoint, Landscape
 
 __all__ = [
@@ -52,11 +50,17 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
 
     Returns ``(labels, n)`` with int32 labels, 0 off the mask and 1..n on
     it, the components numbered in raster order of their first node.
+
+    A union-find over the mask nodes, numbered in raster order: every round
+    hooks the larger root of each edge whose ends have different roots
+    under the smaller one, then pointer-jumps until every node points at a
+    root.  Roots only ever point to lower nodes, so each component's root
+    ends up its lowest node.
     """
     mask = np.asarray(mask, dtype=bool)
     count = int(np.count_nonzero(mask))
-    index = np.full(mask.shape, -1, dtype=np.int32)
-    index[mask] = np.arange(count, dtype=np.int32)
+    index = np.full(mask.shape, -1, dtype=np.intp)
+    index[mask] = np.arange(count)
     # one edge per pair of mask nodes that are neighbours along an axis
     heads, tails = [], []
     for k in range(mask.ndim):
@@ -66,14 +70,24 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
         heads.append(index[lo][both])
         tails.append(index[hi][both])
     heads, tails = np.concatenate(heads), np.concatenate(tails)
-    graph = sp.csr_matrix((np.ones(heads.size), (heads, tails)),
-                          shape=(count, count))
-    # components come numbered in the order of their lowest node, and the
-    # nodes are numbered in raster order
-    n, comp = connected_components(graph, directed=False)
+    root = np.arange(count)
+    while True:
+        a, b = root[heads], root[tails]
+        split = a != b
+        if not split.any():
+            break
+        heads, tails, a, b = heads[split], tails[split], a[split], b[split]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    # number the roots in raster order
+    is_root = root == np.arange(count)
     labels = np.zeros(mask.shape, dtype=np.int32)
-    labels[mask] = comp + 1
-    return labels, n
+    labels[mask] = np.cumsum(is_root)[root]
+    return labels, int(np.count_nonzero(is_root))
 
 
 def flood_component(mask: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:

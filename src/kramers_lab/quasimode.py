@@ -26,15 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .discretize import Grid, OperatorMatrix
+from .grid import Grid
 from .labelling import (LabelledWell, WellMap, flood_component,
                         label_components)
 from .landscape import CriticalPoint, Landscape
 from .saddle import SaddleSpectralData
+
+if TYPE_CHECKING:
+    from .discretize import OperatorMatrix
 
 
 class QuasimodeError(ValueError):

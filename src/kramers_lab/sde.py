@@ -47,14 +47,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import forked
-from .discretize import OperatorMatrix, solve_dirichlet
 from .labelling import LabelledWell, WellMap
 from .landscape import Landscape
+
+if TYPE_CHECKING:
+    from .discretize import OperatorMatrix
 
 
 class SdeError(ValueError):
@@ -224,6 +226,8 @@ def mean_first_passage(cfg: SimulationConfig, op: OperatorMatrix) -> float:
     absorb where the paths reflect, which is exponentially small while V
     at the walls lies far above sigma.
     """
+    from .discretize import solve_dirichlet
+
     if op.h != cfg.h:
         raise SdeError(f"the generator is at h = {op.h}, the run at "
                        f"h = {cfg.h}")

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from kramers_lab import analysis, forked
+from kramers_lab import discretize, forked
 from kramers_lab import expr as ex
 from kramers_lab.analysis import Analysis, solve_spectra
 from kramers_lab.discretize import small_spectrum
@@ -44,7 +44,7 @@ def test_at_most_one_solve_child_per_cpu(tilted_c0, monkeypatch):
         init(self, *args)
         alive.append(len(multiprocessing.active_children()))
 
-    solve = analysis.small_spectrum
+    solve = discretize.small_spectrum
 
     def slow_solve(*args):
         time.sleep(0.5)     # keeps each child alive past the next fork
@@ -52,7 +52,7 @@ def test_at_most_one_solve_child_per_cpu(tilted_c0, monkeypatch):
 
     monkeypatch.setattr(forked.Forked, "__init__", spy)
     monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(analysis, "small_spectrum", slow_solve)
+    monkeypatch.setattr(discretize, "small_spectrum", slow_solve)
     ana = Analysis(tilted_c0.land)
     hs = (0.2, 0.25, 0.3)
     solve_spectra([(ana, h, 64) for h in hs])

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kramers_lab import analysis, cli, forked, graded, quasimode, sde
+from kramers_lab import (analysis, cli, discretize, forked, graded, quasimode,
+                         sde)
 from kramers_lab.analysis import Analysis
 from kramers_lab.cli import ConfigError, main, parse_config
 from kramers_lab.labelling import WellMap
@@ -264,7 +265,7 @@ def test_sde_stage_report(tmp_path, monkeypatch):
     log = tmp_path / "calls.log"
 
     def counted(name):
-        fn = getattr(analysis, name)
+        fn = getattr(discretize, name)
 
         def wrapper(*args, **kwargs):
             with open(log, "a") as f:
@@ -273,7 +274,7 @@ def test_sde_stage_report(tmp_path, monkeypatch):
         return wrapper
 
     for name in ("assemble", "small_spectrum"):
-        monkeypatch.setattr(analysis, name, counted(name))
+        monkeypatch.setattr(discretize, name, counted(name))
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path,
                      landscape={"preset": "tilted_double_well"},
@@ -517,7 +518,7 @@ def test_failed_solve_fails_the_spectrum_stage(tmp_path, monkeypatch):
         close(self)
 
     # patched before the solves fork, so the children call it
-    monkeypatch.setattr(analysis, "small_spectrum", planted_solve)
+    monkeypatch.setattr(discretize, "small_spectrum", planted_solve)
     monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
     monkeypatch.setattr(forked.Forked, "close", spy)
     out = tmp_path / "out"
@@ -588,6 +589,35 @@ def test_analysis_stages_do_not_import_ndimage(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "quasimode_report.csv").exists()
+
+
+def test_analyze_and_selftest_do_not_import_scipy_sparse(tmp_path):
+    # the analyze stage and the graded self-test need NumPy alone; the
+    # first operator loads scipy.sparse in this process, so the children
+    # that solve_spectra forks inherit the solver instead of importing it
+    cfg = _write_cfg(tmp_path,
+                     landscape={"preset": "tilted_double_well"},
+                     c=[0.0], h=[0.25], grid={"n": 64},
+                     out=str(tmp_path / "out"))
+    script = (
+        "import sys\n"
+        "from kramers_lab.analysis import Analysis\n"
+        "from kramers_lab.cli import main\n"
+        "from kramers_lab.landscape import make_preset\n"
+        "def sparse():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith('scipy.sparse'))\n"
+        f"assert main(['run', {str(cfg)!r}, '--stages', 'analyze']) == 0\n"
+        "assert not sparse(), sparse()\n"
+        "assert main(['selftest', '--instances', '3']) == 0\n"
+        "assert not sparse(), sparse()\n"
+        "Analysis(make_preset('tilted_double_well')).operator(0.25, 64)\n"
+        "assert 'scipy.sparse.linalg' in sys.modules, sparse()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "well_map.json").exists()
 
 
 def test_planted_nonstationary_drift_fails_analyze(tmp_path, capsys):

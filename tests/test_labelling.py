@@ -245,6 +245,47 @@ def test_label_components_match_ndimage_on_edge_cases(mask):
     _assert_labels_like_ndimage(mask)
 
 
+def _serpentine(n):
+    """Every other row, joined at alternate ends: one path of ~n^2/2 nodes."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def _spiral(n):
+    """A one-node-wide path winding inwards from the corner (0, 0), its
+    turns two nodes apart."""
+    mask = np.zeros((n, n), dtype=bool)
+    i = j = 0
+    mask[0, 0] = True
+    steps = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+    lengths = [n - 1, n - 1, n - 1] + [n - 1 - 2 * (k // 2 + 1)
+                                       for k in range(2 * n)]
+    for k, length in enumerate(lengths):
+        if length <= 0:
+            break
+        di, dj = steps[k % 4]
+        for _ in range(length):
+            i, j = i + di, j + dj
+            mask[i, j] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask, components", [
+    (_serpentine(384), 1),
+    (_spiral(383), 1),
+    (np.indices((384, 384)).sum(axis=0) % 2 == 0, 384 * 384 // 2),
+], ids=["serpentine-384", "spiral-383", "checkerboard-384"])
+def test_label_components_match_ndimage_on_adversarial_masks(mask,
+                                                             components):
+    # long paths need many pointer-jumping rounds; a checkerboard has no
+    # edge at all, so every mask node is its own component
+    _assert_labels_like_ndimage(mask)
+    assert label_components(mask)[1] == components
+
+
 def test_flood_component_and_guards():
     land, cps, topo = build("tilted_double_well")
     saddle = next(cp for cp in cps if cp.is_saddle)
